@@ -26,7 +26,7 @@ from .jensen import (
     jensen_test,
     linear_logistic_reference,
 )
-from .model import Dataset, ModelSpec, fit_path
+from .model import Dataset, ModelSpec, default_lambda_grid, fit_path
 from .simlab import ScenarioConfig, power_study
 
 FAMILY_FLAGS = {
@@ -173,10 +173,12 @@ def _functional_design(path: str, n: int, dim: int) -> np.ndarray:
 # --- the jensen command ------------------------------------------------------------
 
 
-def _parse_lambda_grid(text: str) -> tuple[float, ...]:
+def _parse_lambda_grid(text: str | None) -> tuple[float, ...]:
+    if text is None:
+        return default_lambda_grid()
     parts = text.split(":")
     if len(parts) != 3:
-        raise ValueError("lambda grid must look like LO:HI:COUNT, e.g. 1e-4:1e6:20")
+        raise ValueError("lambda grid must look like LO:HI:COUNT, e.g. 1e-1:1e6:20")
     try:
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
@@ -376,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="default: the family's natural direction",
     )
     pj.add_argument("--alpha", type=float, default=0.05)
-    pj.add_argument("--lambda-grid", default="1e-4:1e6:20", metavar="LO:HI:COUNT")
+    pj.add_argument("--lambda-grid", metavar="LO:HI:COUNT", help="default: default_lambda_grid()")
     pj.add_argument("--basis-dim", type=int, default=25)
     pj.add_argument("--degree", type=int, default=5)
     pj.add_argument("--null-sims", type=int, default=5000)

@@ -5,16 +5,16 @@ family weights W, the smoother is
 
     S = Phi (Phi' W Phi + lambda P)^{-1} Phi' W
 
-and GCV, effective degrees of freedom, the residual-variance estimate, and
-all cross-lambda coefficient covariances are built from the same K-sized
-bracket (Phi' W Phi + lambda P), never from explicit n x n products except
-in `smoother_matrix` itself (diagnostic use).
+and GCV, effective degrees of freedom, the residual-variance estimate and
+the coefficient covariances are built from the same K-sized bracket
+(Phi' W Phi + lambda P), formed in `_fit_system` and never from explicit
+n x n products except in `smoother_matrix` itself (diagnostic use).
 """
 
 from __future__ import annotations
 
 import warnings as _warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -50,7 +50,6 @@ class LambdaPath:
     sigma2: float | None
     weight_ref: np.ndarray
     warnings: tuple[str, ...] = ()
-    _cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def selected_fit(self) -> FitResult:
@@ -101,40 +100,37 @@ def _solve_spd(M: np.ndarray, B: np.ndarray, context: str) -> np.ndarray:
         return scipy.linalg.solve(Mj, B, assume_a="sym")
 
 
-def _bracket(fit: FitResult, w: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    P = penalty_matrix(fit.basis).entries
-    return phi.T @ (phi * w[:, None]) + fit.lam * P
+def _fit_system(fit: FitResult) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Phi, w, M^-1) for one fit, with M = Phi' W Phi + lambda P the bracket."""
+    phi = _design(fit)
+    w = fit_weights(fit)
+    M = phi.T @ (phi * w[:, None]) + fit.lam * penalty_matrix(fit.basis).entries
+    return phi, w, _solve_spd(M, np.eye(M.shape[0]), "the penalized bracket")
 
 
 def smoother_matrix(fit: FitResult) -> np.ndarray:
     """The n x n linear map from working response to fitted link values."""
-    phi = _design(fit)
-    w = fit_weights(fit)
-    M = _bracket(fit, w, phi)
-    inner = _solve_spd(M, phi.T * w[None, :], "smoother_matrix")
-    return phi @ inner
+    phi, w, V = _fit_system(fit)
+    return phi @ (V @ (phi.T * w[None, :]))
 
 
-def _trace_terms(fit: FitResult) -> tuple[float, float, np.ndarray, np.ndarray]:
-    """(tr S, tr SS', Phi, w) without forming any n x n matrix."""
-    phi = _design(fit)
-    w = fit_weights(fit)
-    M = _bracket(fit, w, phi)
+def _trace_terms(fit: FitResult) -> tuple[float, float, np.ndarray]:
+    """(tr S, tr SS', w) without forming any n x n matrix."""
+    phi, w, V = _fit_system(fit)
     WPhi = phi * w[:, None]
     A = phi.T @ WPhi
-    V = _solve_spd(M, np.eye(M.shape[0]), "smoother trace")
     tr_s = float(np.trace(V @ A))
     C = WPhi.T @ WPhi  # Phi' W^2 Phi
     D = phi.T @ phi
     tr_ss = float(np.trace(V @ C @ V @ D))
-    return tr_s, tr_ss, phi, w
+    return tr_s, tr_ss, w
 
 
 def gcv(fit: FitResult) -> float:
     """Generalized cross-validation score n ||sqrt(W)(z - Phi d)||^2 / (n - tr S)^2
     with the IRLS working response z = g(E) + W^{-1}(y - mu); for the
     gaussian family this is the classical n RSS / (n - tr S)^2."""
-    tr_s, _, phi, w = _trace_terms(fit)
+    tr_s, _, w = _trace_terms(fit)
     n = fit.eta.size
     if tr_s >= n:
         raise DegreesOfFreedomError(
@@ -151,7 +147,7 @@ def gcv(fit: FitResult) -> float:
 
 def effective_df(fit: FitResult) -> tuple[float, float]:
     """(tr S, tr SS') for the fit."""
-    tr_s, tr_ss, _, _ = _trace_terms(fit)
+    tr_s, tr_ss, _ = _trace_terms(fit)
     return tr_s, tr_ss
 
 
@@ -224,97 +220,35 @@ def _check_same_frame(path: LambdaPath, i: int, j: int) -> None:
         )
 
 
-def _bracket_inverse(path: LambdaPath, k: int) -> np.ndarray:
-    key = ("Vinv", k)
-    if key not in path._cache:
-        f = path.fits[k]
-        phi = _design(f)
-        M = _bracket(f, fit_weights(f), phi)
-        path._cache[("phi", k)] = phi
-        path._cache[key] = _solve_spd(M, np.eye(M.shape[0]), "coefficient covariance")
-    return path._cache[key]
-
-
-def _design_cached(path: LambdaPath, k: int) -> np.ndarray:
-    if ("phi", k) not in path._cache:
-        _bracket_inverse(path, k)
-    return path._cache[("phi", k)]
-
-
-def _gaussian_sandwich(path: LambdaPath, i: int, j: int, include_index_blocks: bool) -> np.ndarray:
-    """Sandwich covariance from half-Hessians and the cross covariance of the
-    score, restricted to the d-block.
-
-    With the residual factor -2 convention, the expected Hessian is
-    2 (J'J + lambda Ptilde) and cov(score) = 4 sigma^2 J_i' J_j; the constant
-    factors cancel in H^{-1} cov(score) H^{-1}.
-    """
+def _noise_scale(path: LambdaPath) -> float:
+    """The factor s in cov(W z) = s diag(w_ref): the residual variance for
+    gaussian_log (where w = 1), 1 for poisson and bernoulli_logit."""
+    if path.spec.family != "gaussian_log":
+        return 1.0
     if path.sigma2 is None:
         raise DegreesOfFreedomError(
             "sigma2 is unavailable on this path; gaussian covariance needs it"
         )
-    spec = path.spec
-    K = path.fits[i].basis.dim
-
-    def jacobian(k: int) -> np.ndarray:
-        f = path.fits[k]
-        if not include_index_blocks:
-            return _design_cached(path, k)
-        phi, phi1 = basis_matrices(f.basis, f.index_values, (0, 1))
-        gprime = phi1 @ f.coeffs.d
-        u = f.coeffs.beta
-        tangent = np.eye(spec.p) - np.outer(u, u)
-        blocks = [phi, gprime[:, None] * (path.data.X @ tangent)]
-        if spec.q > 0:
-            A = path.data.A
-            blocks.append(gprime[:, None] * A if spec.extra_placement == "inside_index" else A)
-        return np.hstack(blocks)
-
-    def half_hessian(k: int, J: np.ndarray) -> np.ndarray:
-        P = penalty_matrix(path.fits[k].basis).entries
-        H = J.T @ J
-        H[:K, :K] += path.fits[k].lam * P
-        return H
-
-    Ji, Jj = jacobian(i), jacobian(j)
-    Hi, Hj = half_hessian(i, Ji), half_hessian(j, Jj)
-    cross = Ji.T @ Jj
-    if include_index_blocks:
-        # the tangent projection zeroes one beta direction; pinv handles it
-        left = np.linalg.pinv(Hi, hermitian=True)
-        right = np.linalg.pinv(Hj, hermitian=True)
-        full = left @ cross @ right
-    else:
-        left = _solve_spd(Hi, cross, "gaussian covariance")
-        full = _solve_spd(Hj, left.T, "gaussian covariance").T
-    return path.sigma2 * full[:K, :K]
+    return path.sigma2
 
 
-def _glm_cov(path: LambdaPath, i: int, j: int) -> np.ndarray:
-    Vi = _bracket_inverse(path, i)
-    Vj = _bracket_inverse(path, j)
-    phi_i = _design_cached(path, i)
-    phi_j = _design_cached(path, j)
-    mid = phi_i.T @ (phi_j * path.weight_ref[:, None])
-    return Vi @ mid @ Vj
-
-
-def coef_cov(path: LambdaPath, i: int, j: int, include_index_blocks: bool = False) -> CoefCovariance:
+def coef_cov(path: LambdaPath, i: int, j: int) -> CoefCovariance:
     """Covariance of (d_hat at grid[i], d_hat at grid[j]).
 
-    gaussian_log: sigma2-scaled sandwich (index blocks dropped by default,
-    retained with include_index_blocks=True). poisson / bernoulli_logit:
-    bracket-inverse form with the middle weights taken at the GCV-selected
-    lambda.
+    Each d_hat = M^-1 Phi' W z is linear in W z, whose covariance is
+    s diag(w_ref) (see `_noise_scale`; w_ref are the weights at the
+    GCV-selected lambda), so the covariance is
+    s M_i^-1 Phi_i' diag(w_ref) Phi_j M_j^-1 for every family. The index
+    direction is treated as known. `jensen.delta_cov` contracts the same
+    form in observation space; this K x K version is the diagnostic and the
+    reference it is tested against.
     """
     m = len(path.fits)
     if not (0 <= i < m and 0 <= j < m):
         raise IndexError("lambda grid index out of range")
     _check_same_frame(path, i, j)
-    if path.spec.family == "gaussian_log":
-        mat = _gaussian_sandwich(path, i, j, include_index_blocks)
-    else:
-        if include_index_blocks:
-            raise ValueError("include_index_blocks is implemented for the gaussian family only")
-        mat = _glm_cov(path, i, j)
+    s = _noise_scale(path)
+    phi_i, _, Vi = _fit_system(path.fits[i])
+    phi_j, _, Vj = _fit_system(path.fits[j])
+    mat = s * (Vi @ (phi_i.T @ (phi_j * path.weight_ref[:, None])) @ Vj)
     return CoefCovariance(lambda_i=path.grid[i], lambda_j=path.grid[j], matrix=mat)

@@ -30,7 +30,8 @@ from .errors import (
     SeparationError,
     TestInfeasibleError,
 )
-from .inference import LambdaPath, _bracket_inverse, _design_cached, coef_cov
+from .inference import LambdaPath, _fit_system, _noise_scale
+from .inference import coef_cov  # noqa: F401  perfbench/tracing.py wraps jensen.coef_cov by name
 from .model import Dataset, FitResult, ModelSpec
 
 __all__ = [
@@ -101,10 +102,10 @@ class JensenTestResult:
 class LinearReference:
     """Linear-logistic fit of the same data: the 'no curvature' reference.
 
-    delta_inf is the Jensen functional applied to the linear fit. The
-    per-lambda rows of `hat_contractions` are the sensitivities of
-    delta_hat_lambda - delta_inf to the response vector, used for the
-    covariance of the difference process.
+    delta_inf is the Jensen functional applied to the linear fit. Row k of
+    `hat_contractions` is d(delta_hat_k - delta_inf)/dy: the influence row
+    of delta_hat at grid[k] (see `delta_cov`) minus the linear fit's own
+    row, so the difference process has covariance U diag(w_ref) U'.
     """
 
     intercept: float
@@ -209,24 +210,35 @@ def truncate_psd(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
+def _influence_rows(path: LambdaPath, evals: list[EvalSet]) -> np.ndarray:
+    """Row k is g_k = Phi_k M_k^-1 c_k = d(delta_hat at grid[k]) / d(W z):
+    the sensitivity c_k of delta_hat to the spline coefficients carried
+    into observation space through d_hat = M^-1 Phi' W z."""
+    rows = np.empty((len(path.fits), path.data.n))
+    for k, (f, ev) in enumerate(zip(path.fits, evals)):
+        phi, _, V = _fit_system(f)
+        rows[k] = phi @ (V @ _sensitivity(ev, f.coeffs.d))
+    return rows
+
+
+def _row_cov(path: LambdaPath, rows: np.ndarray, what: str) -> np.ndarray:
+    """s G diag(w_ref) G', projected to the PSD cone, for influence rows G."""
+    sigma = truncate_psd(_noise_scale(path) * (rows * path.weight_ref[None, :]) @ rows.T)
+    if np.all(np.diag(sigma) <= 0.0):
+        raise DegenerateVarianceError(f"estimated variance of {what} is zero on the whole grid")
+    return sigma
+
+
 def delta_cov(path: LambdaPath, evals: list[EvalSet]) -> np.ndarray:
     """Covariance of the delta_hat process across the lambda grid, by the
-    delta method through the spline coefficients, projected to the PSD cone."""
-    m = len(path.fits)
-    if len(evals) != m:
+    delta method: s G diag(w_ref) G' over the influence rows G (one per
+    grid value), projected to the PSD cone. s is the gaussian residual
+    variance (1 for poisson and logit) and w_ref the family weights at the
+    GCV-selected lambda. Entry (i, j) equals c_i' coef_cov(path, i, j) c_j.
+    """
+    if len(evals) != len(path.fits):
         raise ValueError("need one evaluation set per grid value")
-    sens = [_sensitivity(ev, f.coeffs.d) for ev, f in zip(evals, path.fits)]
-    sigma = np.empty((m, m))
-    for i in range(m):
-        for j in range(i, m):
-            cij = coef_cov(path, i, j).matrix
-            sigma[i, j] = sigma[j, i] = float(sens[i] @ cij @ sens[j])
-    sigma = truncate_psd(sigma)
-    if np.all(np.diag(sigma) <= 0.0):
-        raise DegenerateVarianceError(
-            "estimated variance of delta_hat is zero on the whole grid"
-        )
-    return sigma
+    return _row_cov(path, _influence_rows(path, evals), "delta_hat")
 
 
 def t_process(deltas: np.ndarray, sigma_delta: np.ndarray):
@@ -457,8 +469,8 @@ def linear_logistic_reference(data: Dataset, path: LambdaPath | None = None) -> 
 def _hat_contractions(path: LambdaPath, ref: LinearReference, coef: np.ndarray):
     """Rows u_lambda = d(delta_hat_lambda - delta_inf)/dy.
 
-    The spline side differentiates through d_hat = M^-1 Phi' W z (where
-    d(Wz)/dy = I); the reference side through the weighted least-squares
+    The spline side is the influence row of delta_hat (d(Wz)/dy = I); the
+    reference side differentiates through the weighted least-squares
     coefficient map of the linear fit.
     """
     data = path.data
@@ -473,12 +485,8 @@ def _hat_contractions(path: LambdaPath, ref: LinearReference, coef: np.ndarray):
     ref_block = scipy.linalg.solve(D.T @ (D * w_inf[:, None]), b_inf, assume_a="sym")
     ref_row = D @ ref_block  # (X' W X)^-1-weighted sensitivity, length n
 
-    rows = np.empty((len(path.fits), data.n))
-    for k, f in enumerate(path.fits):
-        ev = make_eval_set(path.spec, data, f)
-        c = _sensitivity(ev, f.coeffs.d)
-        rows[k] = _design_cached(path, k) @ (_bracket_inverse(path, k) @ c) - ref_row
-    return rows, path.grid
+    evals = [make_eval_set(path.spec, data, f) for f in path.fits]
+    return _influence_rows(path, evals) - ref_row, path.grid
 
 
 def alternative_null_test(
@@ -496,13 +504,7 @@ def alternative_null_test(
         ref = linear_logistic_reference(path.data, path)
     evals = [make_eval_set(path.spec, path.data, f) for f in path.fits]
     deltas = np.array([delta_hat(f, ev) for f, ev in zip(path.fits, evals)]) - ref.delta_inf
-    U = ref.hat_contractions
-    w_ref = path.weight_ref
-    sigma = truncate_psd((U * w_ref[None, :]) @ U.T)
-    if np.all(np.diag(sigma) <= 0.0):
-        raise DegenerateVarianceError(
-            "estimated variance of the difference process is zero on the whole grid"
-        )
+    sigma = _row_cov(path, ref.hat_contractions, "the difference process")
     return _assemble_result(
         deltas, sigma, "test_vs_linear_logistic", alpha, n_sims, seed
     )

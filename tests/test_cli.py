@@ -17,6 +17,7 @@ from scipy.special import expit
 import jenseneffect
 from jenseneffect.cli import main, read_dataset
 from jenseneffect.errors import NumericalError
+from jenseneffect.model import default_lambda_grid
 
 
 def _fmt_row(vals):
@@ -120,6 +121,17 @@ def test_jensen_rerun_byte_identical(jensen_run, tmp_path, capsys):
         a = (out / name).read_bytes()
         b = (tmp_path / "again" / name).read_bytes()
         assert a == b, name
+
+
+def test_jensen_default_grid_is_library_default(jensen_run, tmp_path, capsys):
+    argv, out = jensen_run
+    assert "--lambda-grid" not in argv
+    argv2 = list(argv)
+    argv2[argv2.index(str(out))] = str(tmp_path)
+    assert main(argv2) == 0
+    capsys.readouterr()
+    bundle = json.loads((tmp_path / "result.json").read_text(encoding="utf-8"))
+    assert bundle["model"]["lambda_grid"] == list(default_lambda_grid())
 
 
 def test_jensen_empty_file_exit2(tmp_path, capsys):

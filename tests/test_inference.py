@@ -22,7 +22,7 @@ from jenseneffect.inference import (
     sigma2_hat,
     smoother_matrix,
 )
-from jenseneffect.inference import _glm_cov
+from jenseneffect.jensen import _sensitivity, delta_cov, jensen_test, make_eval_set
 from jenseneffect.model import Coefficients, Dataset, FitResult, ModelSpec, fit, fit_path
 
 
@@ -78,6 +78,24 @@ def test_smoother_reproduces_fitted_link_on_converged_fit():
     S = smoother_matrix(f)
     # gaussian working response is Y* itself; S maps it to the fitted g
     np.testing.assert_allclose(S @ f.response, f.eta, atol=1e-8)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the bracket uses lambda P where the unhalved poisson/logit loss needs "
+    "2 lambda P (CHANGES.md FOUND on inference.py)",
+)
+def test_smoother_reproduces_fitted_link_on_converged_poisson_path():
+    path, _ = poisson_path(n=200)
+    misses = []
+    for f in path.fits:
+        w = fit_weights(f)
+        z = f.eta + (f.response - f.mu_or_pi) / w
+        spread = np.linalg.norm(f.eta - f.eta.mean())
+        misses.append(np.linalg.norm(smoother_matrix(f) @ z - f.eta) / spread)
+    # every fit on the path, not only the selected one (at lambda = 1e6,
+    # where the penalty is nearly all nullspace and the miss is smallest)
+    assert max(misses) <= 1e-4
 
 
 def test_smoother_trace_strictly_decreasing_in_lambda():
@@ -250,26 +268,31 @@ def test_coef_cov_transpose_identity():
     assert np.max(np.abs(Cij - Cji.T)) <= 1e-10 * scale
 
 
-def test_coef_cov_gaussian_sandwich_equals_weighted_form():
-    # two independent code paths: explicit Hessian sandwich vs the
-    # GLM bracket form, which must agree at W = I up to the sigma2 factor
-    path, _ = gaussian_path(n=150)
-    for i, j in ((2, 2), (4, 13)):
-        sandwich = coef_cov(path, i, j).matrix
-        weighted = path.sigma2 * _glm_cov(path, i, j)
-        scale = max(np.abs(sandwich).max(), 1e-30)
-        assert np.max(np.abs(sandwich - weighted)) <= 1e-10 * scale
+def test_delta_cov_matches_pairwise_coef_cov_oracle():
+    # the influence-row covariance against the K x K coefficient covariance
+    # contracted pair by pair with the delta sensitivities
+    for path, data in (gaussian_path(n=150), poisson_path(n=200)):
+        evals = [make_eval_set(path.spec, data, f) for f in path.fits]
+        sens = [_sensitivity(ev, f.coeffs.d) for ev, f in zip(evals, path.fits)]
+        m = len(path.fits)
+        oracle = np.array(
+            [[sens[i] @ coef_cov(path, i, j).matrix @ sens[j] for j in range(m)] for i in range(m)]
+        )
+        sigma = delta_cov(path, evals)
+        # the oracle is PSD up to rounding, so the projection only rounds
+        assert np.max(np.abs(sigma - oracle)) <= 1e-10 * np.abs(oracle).max()
 
 
-def test_coef_cov_full_index_blocks_close_to_default():
-    path, _ = gaussian_path(n=300)
-    i = path.selected
-    slim = coef_cov(path, i, i).matrix
-    full = coef_cov(path, i, i, include_index_blocks=True).matrix
-    # retaining the index blocks must perturb, not transform, the d-block
-    num = np.linalg.norm(full - slim)
-    den = np.linalg.norm(slim)
-    assert num <= 0.5 * den
+def test_gaussian_covariance_needs_sigma2():
+    path, data = gaussian_path(n=120)
+    bare = dataclasses.replace(path, sigma2=None)
+    evals = [make_eval_set(bare.spec, data, f) for f in bare.fits]
+    with pytest.raises(DegreesOfFreedomError, match="sigma2"):
+        delta_cov(bare, evals)
+    with pytest.raises(DegreesOfFreedomError, match="sigma2"):
+        jensen_test(bare)
+    with pytest.raises(DegreesOfFreedomError, match="sigma2"):
+        coef_cov(bare, 0, 1)
 
 
 def reflect_fit(f, spec):
@@ -289,7 +312,7 @@ def test_coef_cov_invariant_under_frame_reflection():
     path, _ = gaussian_path(n=120)
     fits = list(path.fits)
     fits[1] = reflect_fit(fits[1], path.spec)
-    mixed = dataclasses.replace(path, fits=tuple(fits), _cache={})
+    mixed = dataclasses.replace(path, fits=tuple(fits))
     # reflection reverses the coefficient axis of fit 1 and nothing else
     base = coef_cov(path, 0, 1).matrix
     np.testing.assert_allclose(coef_cov(mixed, 0, 1).matrix, base[:, ::-1], rtol=1e-9, atol=1e-9 * np.abs(base).max())
@@ -304,7 +327,7 @@ def test_coef_cov_rejects_unrelated_bases():
     )
     fits = list(path.fits)
     fits[1] = stranger
-    broken = dataclasses.replace(path, fits=tuple(fits), _cache={})
+    broken = dataclasses.replace(path, fits=tuple(fits))
     with pytest.raises(NumericalError, match="shared"):
         coef_cov(broken, 0, 1)
 

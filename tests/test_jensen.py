@@ -376,7 +376,7 @@ def test_delta_path_invariant_under_frame_reflection(sqrt_path):
     )
     fits = list(path.fits)
     fits[2] = mirrored
-    mixed = dataclasses.replace(path, fits=tuple(fits), _cache={})
+    mixed = dataclasses.replace(path, fits=tuple(fits))
 
     evals = [make_eval_set(path.spec, data, f) for f in path.fits]
     evals_mixed = [make_eval_set(path.spec, data, f) for f in mixed.fits]
