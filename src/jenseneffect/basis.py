@@ -5,6 +5,15 @@ fixed B-spline basis phi. This module owns basis construction, evaluation of
 the basis and its derivatives, the second-derivative penalty matrix, and the
 Fourier inner-product reduction that turns functional covariate histories
 into ordinary design columns.
+
+Evaluation is one vectorized Cox-de Boor pass per call: each point's knot
+span comes from a binary search on the knots, the k + 1 nonzero B-splines of
+every degree up to k are built level by level for all points at once, and
+each requested derivative order is raised from the level below with the
+degree-reduction recurrence; the blocks are then scattered into dense
+n x dim matrices. Points are clamped to [lo, hi], and each end belongs to
+the nonempty span that ends there, so values and derivatives at (and beyond)
+either end are the one-sided limits from inside the domain.
 """
 
 from __future__ import annotations
@@ -15,7 +24,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import BSpline
 
 __all__ = [
     "SplineBasis",
@@ -146,41 +154,90 @@ def basis_for_index(values: np.ndarray, dim: int = 25, degree: int = 5, pad: flo
     return make_spline_basis(lo, hi, dim=dim, degree=degree)
 
 
-def _design_all(knots: np.ndarray, degree: int, x: np.ndarray, deriv: int) -> np.ndarray:
-    """Design matrix of every degree-`degree` B-spline on `knots`, derivative
-    order `deriv`, via the standard degree-reduction recurrence."""
-    if deriv == 0:
-        return BSpline.design_matrix(x, knots, degree, extrapolate=False).toarray()
-    lower = _design_all(knots, degree - 1, x, deriv - 1)
-    n_funcs = len(knots) - degree - 1
-    left_den = knots[degree : degree + n_funcs] - knots[:n_funcs]
-    right_den = knots[degree + 1 : degree + 1 + n_funcs] - knots[1 : 1 + n_funcs]
-    # zero-width windows (repeated boundary knots) contribute nothing
-    left = np.divide(degree, left_den, out=np.zeros(n_funcs), where=left_den > 0)
-    right = np.divide(degree, right_den, out=np.zeros(n_funcs), where=right_den > 0)
-    return lower[:, :n_funcs] * left - lower[:, 1 : n_funcs + 1] * right
+@functools.lru_cache(maxsize=64)
+def _span_tables(basis: SplineBasis) -> tuple[np.ndarray, np.ndarray]:
+    """Per-span knot data for `_design`.
+
+    Spans l = k..last are the nonempty ones; last is the span that ends at
+    hi. `first` maps p = searchsorted(knots, x, "right") to l - k, the first
+    basis function nonzero on span l = min(p - 1, last). Column l - k of
+    `table` holds the knots t[l-k+1 .. l+k] (rows 0..2k-1), then for each
+    degree j = 1..k the j knot differences t[l+m] - t[l+m-j], m = 1..j, that
+    de Boor's recurrence divides by (all positive, as the span is nonempty).
+    """
+    t = basis.knot_array
+    k = basis.degree
+    last = int(np.searchsorted(t, basis.hi, side="left")) - 1
+    first = np.minimum(np.arange(t.size + 1) - 1, last) - k
+    window = t[np.arange(k, last + 1) + np.arange(1 - k, k + 1)[:, None]]
+    widths = [window[k : k + j] - window[k - j : k] for j in range(1, k + 1)]
+    table = np.concatenate([window, *widths])
+    first.flags.writeable = False
+    table.flags.writeable = False
+    return first, table
 
 
-def _design_sorted(basis: SplineBasis, x: np.ndarray, derivs: tuple[int, ...]) -> list[np.ndarray]:
-    # design_matrix documents sorted input; sort once, evaluate, unsort
-    order = np.argsort(x, kind="stable")
-    inverse = np.empty_like(order)
-    inverse[order] = np.arange(order.size)
-    xs = x[order]
-    return [_design_all(basis.knot_array, basis.degree, xs, d)[inverse] for d in derivs]
+def _design(basis: SplineBasis, x: np.ndarray, derivs: tuple[int, ...]) -> list[np.ndarray]:
+    """Dense design matrices of the given derivative orders at points x in
+    [lo, hi], from one Cox-de Boor triangle.
+
+    Level j of the triangle holds the j + 1 degree-j B-splines l-j..l that
+    are nonzero on x's span l, computed in de Boor's order of operations (A
+    Practical Guide to Splines, 1978, BSPLVB). Derivative order r raises level
+    k - r back to degree k with the factors j / (t[i+j] - t[i]) of the
+    degree-reduction recurrence. Arrays are (functions, points), so every
+    operation runs along contiguous rows of length n; temporaries are freed
+    before the dense outputs are allocated.
+    """
+    k, dim, n = basis.degree, basis.dim, x.size
+    first, table = _span_tables(basis)
+    col = first[np.searchsorted(basis.knot_array, x, side="right")]
+    g = np.take(table, col, axis=1)
+    gap = np.subtract(g[: 2 * k], x, out=g[: 2 * k])  # t[l-k+1 .. l+k] - x
+    width = [g[2 * k + j * (j - 1) // 2 : 2 * k + j * (j + 1) // 2] for j in range(1, k + 1)]
+    keep = {k - r for r in derivs}
+    h = np.ones((1, n))
+    levels = {0: h}
+    for j in range(1, max(keep, default=0) + 1):
+        w = h / width[j - 1]
+        h = np.empty((j + 1, n))
+        np.multiply(w, gap[k : k + j], out=h[:j])
+        h[j] = 0.0
+        h[1:] -= np.multiply(w, gap[k - j : k], out=w)
+        if j in keep:
+            levels[j] = h
+    blocks = []
+    for r in derivs:
+        v = levels[k - r]
+        for j in range(k - r + 1, k + 1):
+            u = j / width[j - 1] * v
+            v = np.zeros((j + 1, n))
+            v[1:] = u
+            v[:j] -= u
+        blocks.append(v)
+    del g, gap, width, levels, h
+    flat = col + np.arange(0, n * dim, dim) + np.arange(k + 1)[:, None]
+    dense = np.zeros((len(derivs), n, dim))
+    for out, v in zip(dense, blocks):
+        out.reshape(-1)[flat] = v
+    return list(dense)
 
 
 def basis_matrix(basis: SplineBasis, s, deriv: int = 0) -> np.ndarray:
     """Evaluate all basis functions (or a derivative) at the points s.
 
-    Points outside [lo, hi] are clamped to the nearest endpoint, so the
-    returned rows continue the boundary value constantly.
+    Returns a dense (len(s), dim) matrix. Points outside [lo, hi] are clamped
+    to the nearest endpoint, so the returned rows continue the boundary row
+    constantly. At lo and hi the rows are one-sided: the values and
+    derivatives of the first and last nonempty knot spans, so no derivative
+    row vanishes at an end (a value row sums to 1 there as everywhere).
     """
     return basis_matrices(basis, s, (deriv,))[0]
 
 
 def basis_matrices(basis: SplineBasis, s, derivs: tuple[int, ...]) -> list[np.ndarray]:
-    """Evaluate several derivative orders at once (shared sorting pass)."""
+    """Evaluate several derivative orders at once, from one Cox-de Boor
+    pass; returns one dense matrix per order, as `basis_matrix` would."""
     for d in derivs:
         if not 0 <= d:
             raise ValueError("derivative order must be nonnegative")
@@ -192,7 +249,7 @@ def basis_matrices(basis: SplineBasis, s, derivs: tuple[int, ...]) -> list[np.nd
     if not np.all(np.isfinite(x)):
         raise ValueError("evaluation points must be finite")
     x = np.clip(x, basis.lo, basis.hi)
-    return _design_sorted(basis, x, derivs)
+    return _design(basis, x, derivs)
 
 
 def eval_basis(basis: SplineBasis, s: float, deriv: int = 0) -> np.ndarray:

@@ -2,8 +2,11 @@
 
 The spline oracle is a direct Cox-de Boor recursion written from the
 textbook definition (no scipy), with the closed-right-end convention at the
-domain's upper endpoint. Penalty values are checked against hand-integrated
-closed forms; Fourier inner products against analytic integrals.
+domain's upper endpoint, and derivatives come from the textbook derivative
+recursion on top of it. scipy's design matrix is a second, test-only oracle
+that pins the values bit for bit. Penalty values are checked against
+hand-integrated closed forms; Fourier inner products against analytic
+integrals.
 """
 
 import math
@@ -12,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import BSpline
 
 from jenseneffect.basis import (
     FourierBasis,
@@ -51,6 +55,31 @@ def deboor_one(t, j, k, x, hi):
 def deboor_row(basis, x):
     t = np.asarray(basis.knots)
     return np.array([deboor_one(t, j, basis.degree, x, basis.hi) for j in range(basis.dim)])
+
+
+def deboor_deriv(t, j, k, x, hi, r):
+    """r-th derivative of N_{j,k} at x by the textbook recursion
+    N'_{j,k} = k/(t_{j+k}-t_j) N_{j,k-1} - k/(t_{j+k+1}-t_{j+1}) N_{j+1,k-1},
+    zero-width terms dropped; one-sided like `deboor_one`."""
+    if r == 0:
+        return deboor_one(t, j, k, x, hi)
+    out = 0.0
+    if t[j + k] > t[j]:
+        out += k / (t[j + k] - t[j]) * deboor_deriv(t, j, k - 1, x, hi, r - 1)
+    if t[j + k + 1] > t[j + 1]:
+        out -= k / (t[j + k + 1] - t[j + 1]) * deboor_deriv(t, j + 1, k - 1, x, hi, r - 1)
+    return out
+
+
+def assert_matches_recursion(basis, pts, orders):
+    """Each derivative order within 1e-9 of the oracle's largest entry."""
+    t = np.asarray(basis.knots)
+    for r in orders:
+        ours = basis_matrix(basis, pts, r)
+        oracle = np.array(
+            [[deboor_deriv(t, j, basis.degree, x, basis.hi, r) for j in range(basis.dim)] for x in pts]
+        )
+        assert np.max(np.abs(ours - oracle)) <= 1e-9 * max(1.0, np.max(np.abs(oracle))), r
 
 
 # --- spline evaluation ------------------------------------------------------
@@ -117,8 +146,65 @@ def test_clamping_outside_domain():
     inside = basis_matrix(basis, [0.0, 1.0])
     outside = basis_matrix(basis, [-5.0, 17.0])
     np.testing.assert_array_equal(inside, outside)
-    # clamped derivative rows also freeze at the boundary value
-    np.testing.assert_array_equal(basis_matrix(basis, [-5.0], 1), basis_matrix(basis, [0.0], 1))
+    # clamped derivative rows also freeze at the boundary value, at both ends:
+    # the one-sided derivative of the span that ends there, never a zero row
+    for r in range(1, basis.degree + 1):
+        for end, beyond in ((0.0, -5.0), (1.0, 17.0)):
+            row = basis_matrix(basis, [end], r)
+            np.testing.assert_array_equal(basis_matrix(basis, [beyond], r), row)
+            assert np.max(np.abs(row)) > 0.0
+
+
+def test_partition_of_unity_at_hi_with_extra_end_multiplicity():
+    # hi = t[7] = 1 and t[6] = 1 too: the span that ends at hi is [0.6, 1]
+    basis = SplineBasis(3, 7, (0, 0, 0, 0, 0.3, 0.6, 1, 1, 1, 1, 1))
+    row = basis_matrix(basis, [basis.hi])[0]
+    assert row.sum() == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_array_equal(basis_matrix(basis, [5.0]), basis_matrix(basis, [basis.hi]))
+    assert np.max(np.abs(row - deboor_row(basis, basis.hi))) <= 1e-12
+
+
+def test_derivatives_match_textbook_recursion_at_100_points():
+    basis = make_spline_basis(-1.0, 2.0, dim=12, degree=5)
+    knots = np.unique(basis.knot_array)  # lo, every interior knot, hi
+    pts = np.concatenate([knots, np.linspace(-1.0, 2.0, 100 - knots.size + 2)[1:-1]])
+    assert pts.size == 100
+    assert_matches_recursion(basis, pts, range(1, basis.degree + 1))
+
+
+@st.composite
+def _bases_and_points(draw):
+    k = draw(st.integers(min_value=0, max_value=5))
+    # interior knots on a coarse grid, so repeats are common
+    interior = sorted(draw(st.lists(st.integers(min_value=1, max_value=9), max_size=7)))
+    knots = [0.0] * (k + 1) + [i / 10 for i in interior] + [1.0] * (k + 1)
+    basis = SplineBasis(k, len(knots) - k - 1, tuple(knots))
+    pts = draw(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=12))
+    return basis, np.array(pts + [i / 10 for i in interior][::-1] + [1.0, 0.0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_bases_and_points())
+def test_property_values_and_derivatives_match_recursion(case):
+    basis, pts = case
+    assert_matches_recursion(basis, pts, range(basis.degree + 1))
+
+
+def test_values_bit_identical_to_scipy_design_matrix():
+    # scipy is a test-only oracle: these rows are what the pipeline's numbers
+    # were computed from before evaluation moved into the package
+    rng = np.random.default_rng(20)
+    for _ in range(40):
+        k = int(rng.integers(0, 6))
+        lo, hi = np.sort(rng.normal(scale=3.0, size=2))
+        interior = np.sort(rng.uniform(lo, hi, int(rng.integers(0, 15))))
+        if interior.size > 2:
+            interior[1] = interior[0]  # a repeated interior knot
+        knots = np.concatenate([[lo] * (k + 1), interior, [hi] * (k + 1)])
+        basis = SplineBasis(k, knots.size - k - 1, tuple(float(v) for v in knots))
+        x = np.sort(np.concatenate([rng.uniform(lo, hi, 300), knots[:-1]]))
+        expected = BSpline.design_matrix(x, basis.knot_array, k, extrapolate=False).toarray()
+        assert np.array_equal(basis_matrix(basis, x), expected)
 
 
 def test_eval_input_errors():
