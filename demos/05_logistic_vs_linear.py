@@ -28,7 +28,7 @@ from jenseneffect import (
 def run_case(title, X, y, p):
     data = Dataset(y=y, X=X)
     path = fit_path(ModelSpec(family="bernoulli_logit", p=p), data)
-    ref = linear_logistic_reference(data, path)
+    ref = linear_logistic_reference(data)
     res = alternative_null_test(path, ref, seed=11)
     print(f"\n{title}")
     print(f"  reference delta (implied by the linear-logistic fit): {ref.delta_inf:+.5f}")

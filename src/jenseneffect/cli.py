@@ -301,7 +301,7 @@ def cmd_jensen(args) -> int:
     if not any(f.converged for f in path.fits):
         raise NumericalError("no fit on the lambda grid converged")
     if direction == "test_vs_linear_logistic":
-        ref = linear_logistic_reference(data, path)
+        ref = linear_logistic_reference(data)
         res = alternative_null_test(
             path, ref, alpha=args.alpha, seed=args.seed, n_sims=args.null_sims
         )
@@ -388,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pj.add_argument("--functional", default=None, help="long CSV series_id,t,value")
     pj.add_argument("--fourier-dim", type=int, default=15)
-    pj.add_argument("--threads", type=int, default=None, help="accepted for symmetry; single-dataset runs are serial")
+    pj.add_argument("--threads", type=int, default=1, help="accepted for symmetry; single-dataset runs are serial")
     pj.add_argument("--out", default=".", help="directory for result.json and sidecars")
     pj.set_defaults(func=cmd_jensen)
 
@@ -399,7 +399,12 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--replicates", type=int, default=50)
     pp.add_argument("--alpha", type=float, default=0.05)
     pp.add_argument("--seed", type=int, default=0)
-    pp.add_argument("--threads", type=int, default=None)
+    pp.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="accepted and checked (>= 1); replicates run one after another whatever its value",
+    )
     pp.add_argument("--out", default="power.csv")
     pp.set_defaults(func=cmd_power)
     return parser
@@ -407,8 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads is None:
-        args.threads = os.cpu_count() or 1
     if args.threads < 1:
         print("error: --threads must be positive", file=sys.stderr)
         return 2

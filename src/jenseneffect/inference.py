@@ -55,10 +55,6 @@ class LambdaPath:
     def selected_fit(self) -> FitResult:
         return self.fits[self.selected]
 
-    @property
-    def all_converged(self) -> bool:
-        return all(f.converged for f in self.fits)
-
 
 @dataclass(frozen=True, eq=False)
 class CoefCovariance:
@@ -136,12 +132,9 @@ def gcv(fit: FitResult) -> float:
         raise DegreesOfFreedomError(
             f"smoother trace {tr_s:.3f} is not below n={n}; GCV is undefined"
         )
-    # sqrt(W)(z - Phi d) is the Pearson residual (y - mu) / sqrt(w)
-    if fit.family == "gaussian_log":
-        resid2 = (fit.response - fit.eta) ** 2
-    else:
-        wpos = np.maximum(w, 1e-300)
-        resid2 = (fit.response - fit.mu_or_pi) ** 2 / wpos
+    # sqrt(W)(z - Phi d) is the Pearson residual (y - mu) / sqrt(w); for the
+    # gaussian family w = 1 and mu = eta, so this is the plain residual
+    resid2 = (fit.response - fit.mu_or_pi) ** 2 / np.maximum(w, 1e-300)
     return float(n * np.sum(resid2) / (n - tr_s) ** 2)
 
 
@@ -151,18 +144,15 @@ def effective_df(fit: FitResult) -> tuple[float, float]:
     return tr_s, tr_ss
 
 
-def sigma2_hat(path: LambdaPath, extra_df: int | None = None) -> float:
+def sigma2_hat(path: LambdaPath) -> float:
     """Residual variance at the GCV-selected lambda:
-    sum of squared residuals over n - 2 tr S + tr SS' - (p + q).
-
-    `extra_df` overrides the p + q subtraction for the index parameters.
-    """
+    sum of squared residuals over n - 2 tr S + tr SS' - (p + q)."""
     if path.spec.family != "gaussian_log":
         raise ValueError("sigma2_hat applies to the gaussian_log family only")
     fit = path.selected_fit
     tr_s, tr_ss = effective_df(fit)
     n = fit.eta.size
-    sub = (path.spec.p + path.spec.q) if extra_df is None else extra_df
+    sub = path.spec.p + path.spec.q
     df = n - 2.0 * tr_s + tr_ss - sub
     if df <= 0:
         raise DegreesOfFreedomError(

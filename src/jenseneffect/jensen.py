@@ -102,10 +102,11 @@ class JensenTestResult:
 class LinearReference:
     """Linear-logistic fit of the same data: the 'no curvature' reference.
 
-    delta_inf is the Jensen functional applied to the linear fit. Row k of
-    `hat_contractions` is d(delta_hat_k - delta_inf)/dy: the influence row
-    of delta_hat at grid[k] (see `delta_cov`) minus the linear fit's own
-    row, so the difference process has covariance U diag(w_ref) U'.
+    delta_inf is the Jensen functional applied to the linear fit and
+    `influence_row` its d(delta_inf)/dy (length n). Subtracted from the
+    influence row of delta_hat at each grid value (see `delta_cov`), it
+    gives the rows U of the difference process, whose covariance is
+    U diag(w_ref) U'.
     """
 
     intercept: float
@@ -113,8 +114,7 @@ class LinearReference:
     gamma_inf: np.ndarray
     fitted_pi: np.ndarray
     delta_inf: float
-    hat_contractions: np.ndarray | None = None
-    grid: tuple[float, ...] | None = None
+    influence_row: np.ndarray
 
 
 def _mean_snap(x: np.ndarray) -> float:
@@ -421,21 +421,33 @@ def _reference_eval_design(data: Dataset) -> np.ndarray:
     return Dplus
 
 
-def _reference_delta(data: Dataset, coef: np.ndarray) -> float:
-    Dplus = _reference_eval_design(data)
-    pi = expit(Dplus @ coef)
-    if np.ptp(pi) == 0.0:
+def _reference_delta(data: Dataset, pi_plus: np.ndarray) -> float:
+    if np.ptp(pi_plus) == 0.0:
         return 0.0
-    diffs = pi[0::2] - pi[1::2]
+    diffs = pi_plus[0::2] - pi_plus[1::2]
     return float(np.sum(diffs) / data.n)
+
+
+def _reference_influence_row(
+    D: np.ndarray, Dplus: np.ndarray, pi_plus: np.ndarray, fitted: np.ndarray
+) -> np.ndarray:
+    """d(delta_inf)/dy, through the weighted least-squares coefficient map
+    of the linear fit: D (D' W D)^-1 Dplus' (a * h'(Dplus coef))."""
+    n = D.shape[0]
+    a = np.empty(2 * n)
+    a[0::2] = 1.0 / n
+    a[1::2] = -1.0 / n
+    b_inf = Dplus.T @ (a * pi_plus * (1.0 - pi_plus))
+    w_inf = fitted * (1.0 - fitted)
+    return D @ scipy.linalg.solve(D.T @ (D * w_inf[:, None]), b_inf, assume_a="sym")
 
 
 def linear_logistic_reference(data: Dataset, path: LambdaPath | None = None) -> LinearReference:
     """Fit an ordinary linear-logistic model and its Jensen functional.
 
-    When a fitted path is supplied, also build the per-lambda response
-    sensitivities of delta_hat_lambda - delta_inf needed by
-    alternative_null_test.
+    `path` is accepted and ignored: the reference depends on the data only,
+    and alternative_null_test combines it with any path fitted to the same
+    data.
     """
     if not np.all(np.isin(data.y, (0.0, 1.0))):
         raise ValueError("linear logistic reference needs 0/1 responses")
@@ -445,48 +457,16 @@ def linear_logistic_reference(data: Dataset, path: LambdaPath | None = None) -> 
     coef = _linear_logistic_irls(data.y, D)
     q = 0 if data.A is None else data.A.shape[1]
     fitted = expit(D @ coef)
-    ref = LinearReference(
+    Dplus = _reference_eval_design(data)
+    pi_plus = expit(Dplus @ coef)
+    return LinearReference(
         intercept=float(coef[0]),
         beta_inf=coef[1 + q :].copy(),
         gamma_inf=coef[1 : 1 + q].copy(),
         fitted_pi=fitted,
-        delta_inf=_reference_delta(data, coef),
+        delta_inf=_reference_delta(data, pi_plus),
+        influence_row=_reference_influence_row(D, Dplus, pi_plus, fitted),
     )
-    if path is not None:
-        contr, grid = _hat_contractions(path, ref, coef)
-        ref = LinearReference(
-            intercept=ref.intercept,
-            beta_inf=ref.beta_inf,
-            gamma_inf=ref.gamma_inf,
-            fitted_pi=fitted,
-            delta_inf=ref.delta_inf,
-            hat_contractions=contr,
-            grid=grid,
-        )
-    return ref
-
-
-def _hat_contractions(path: LambdaPath, ref: LinearReference, coef: np.ndarray):
-    """Rows u_lambda = d(delta_hat_lambda - delta_inf)/dy.
-
-    The spline side is the influence row of delta_hat (d(Wz)/dy = I); the
-    reference side differentiates through the weighted least-squares
-    coefficient map of the linear fit.
-    """
-    data = path.data
-    D = _reference_design(data)
-    Dplus = _reference_eval_design(data)
-    pi_plus = expit(Dplus @ coef)
-    a = np.empty(2 * data.n)
-    a[0::2] = 1.0 / data.n
-    a[1::2] = -1.0 / data.n
-    b_inf = Dplus.T @ (a * pi_plus * (1.0 - pi_plus))
-    w_inf = ref.fitted_pi * (1.0 - ref.fitted_pi)
-    ref_block = scipy.linalg.solve(D.T @ (D * w_inf[:, None]), b_inf, assume_a="sym")
-    ref_row = D @ ref_block  # (X' W X)^-1-weighted sensitivity, length n
-
-    evals = [make_eval_set(path.spec, data, f) for f in path.fits]
-    return _influence_rows(path, evals) - ref_row, path.grid
 
 
 def alternative_null_test(
@@ -500,11 +480,12 @@ def alternative_null_test(
     Jensen effect differ from the one a linear-logistic model implies?"""
     if path.spec.family != "bernoulli_logit":
         raise ValueError("the linear-reference comparison applies to the logit family only")
-    if ref.hat_contractions is None or ref.grid != path.grid:
-        ref = linear_logistic_reference(path.data, path)
+    if ref.influence_row.shape != (path.data.n,):
+        raise ValueError("the linear reference was fitted to a dataset of another size")
     evals = [make_eval_set(path.spec, path.data, f) for f in path.fits]
     deltas = np.array([delta_hat(f, ev) for f, ev in zip(path.fits, evals)]) - ref.delta_inf
-    sigma = _row_cov(path, ref.hat_contractions, "the difference process")
+    rows = _influence_rows(path, evals) - ref.influence_row
+    sigma = _row_cov(path, rows, "the difference process")
     return _assemble_result(
         deltas, sigma, "test_vs_linear_logistic", alpha, n_sims, seed
     )

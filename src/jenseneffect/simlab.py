@@ -13,7 +13,6 @@ import csv
 import io
 import math
 import warnings as _warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -273,7 +272,7 @@ def _run_replicate(config: ScenarioConfig, replicate: int, alpha: float, n_sims:
     seed = _test_seed(config, replicate)
     direction = config.direction_
     if direction == "test_vs_linear_logistic":
-        ref = linear_logistic_reference(data, path)
+        ref = linear_logistic_reference(data)
         res = alternative_null_test(path, ref, alpha=alpha, seed=seed, n_sims=n_sims)
     else:
         res = jensen_test(path, direction=direction, alpha=alpha, seed=seed, n_sims=n_sims)
@@ -288,9 +287,10 @@ def power_study(
 ) -> PowerTable:
     """Run every configured cell and tabulate rejection frequencies.
 
-    Replicates are independent and seeded individually, so the table does not
-    depend on thread count or completion order. Failed replicates are recorded
-    on the row (and warned about), never silently dropped.
+    Replicates run one after another on the calling thread and are seeded
+    individually; `threads` is validated but does not change the table or
+    how it is computed. Failed replicates are recorded on the row (and
+    warned about), never silently dropped.
     """
     if not 0.0 < alpha <= 0.5:
         raise ValueError("alpha must lie in (0, 0.5]")
@@ -298,34 +298,13 @@ def power_study(
         raise ValueError("threads must be positive")
     rows = []
     for config in configs:
-        outcomes: list[bool | None] = [None] * config.n_replicates
+        outcomes: list[bool] = []
         failures: list[str] = []
-
-        def run_one(r: int, config=config):
-            return r, _run_replicate(config, r, alpha, n_sims)
-
-        results = []
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                futures = [pool.submit(run_one, r) for r in range(config.n_replicates)]
-                for fut in futures:
-                    try:
-                        results.append(fut.result())
-                    except (NumericalError, ValueError) as exc:
-                        results.append(exc)
-        else:
-            for r in range(config.n_replicates):
-                try:
-                    results.append(run_one(r))
-                except (NumericalError, ValueError) as exc:
-                    results.append(exc)
-        for item in results:
-            if isinstance(item, tuple):
-                r, rejected = item
-                outcomes[r] = rejected
-            else:
-                failures.append(str(item))
-        successes = [o for o in outcomes if o is not None]
+        for r in range(config.n_replicates):
+            try:
+                outcomes.append(_run_replicate(config, r, alpha, n_sims))
+            except (NumericalError, ValueError) as exc:
+                failures.append(str(exc))
         if failures:
             _warnings.warn(
                 f"scenario {config.scenario!r}: {len(failures)} of "
@@ -333,7 +312,7 @@ def power_study(
                 RuntimeWarning,
                 stacklevel=2,
             )
-        if not successes:
+        if not outcomes:
             raise NumericalError(
                 f"scenario {config.scenario!r}: every replicate failed"
             )
@@ -342,9 +321,9 @@ def power_study(
                 scenario=config.scenario,
                 n=config.n,
                 param=config.param_,
-                rejection_rate=float(np.mean(successes)),
+                rejection_rate=float(np.mean(outcomes)),
                 true_delta=true_delta(config),
-                replicates=len(successes),
+                replicates=len(outcomes),
                 failures=tuple(failures),
             )
         )

@@ -635,15 +635,23 @@ def test_alternative_null_centers_on_linear_truth(linear_logit_path):
 
 
 def test_alternative_null_recomputes_missing_contractions(linear_logit_path):
+    # the reference depends on the data only; a path passed along is ignored
     path, data = linear_logit_path
     bare = linear_logistic_reference(data)
-    assert bare.hat_contractions is None
     res_bare = alternative_null_test(path, bare, seed=11)
     res_full = alternative_null_test(
         path, linear_logistic_reference(data, path), seed=11
     )
     assert res_bare.statistic == res_full.statistic
     assert res_bare.p_value == res_full.p_value
+
+
+def test_alternative_null_rejects_reference_of_another_size(linear_logit_path):
+    path, data = linear_logit_path
+    m = data.n // 2
+    other = Dataset(y=data.y[:m], X=data.X[:m], A=data.A[:m])
+    with pytest.raises(ValueError, match="another size"):
+        alternative_null_test(path, linear_logistic_reference(other), seed=11)
 
 
 def test_alternative_null_family_guard():

@@ -23,6 +23,7 @@ from jenseneffect.model import (
     normalize_index,
     objective,
 )
+from jenseneffect.simlab import ScenarioConfig, gen_dataset
 
 
 def small_instance(family, rng, n=20, p=3, q=0, placement="inside_index", dim=8):
@@ -352,3 +353,25 @@ def test_warm_starts_match_cold_and_do_not_slow_down():
     for fw, fc in zip(warm.fits, cold.fits):
         assert fw.objective == pytest.approx(fc.objective, abs=1e-6 * (1 + abs(fc.objective)))
     assert t_warm < 2.0 * t_cold
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="BFGS stops short on logit-convex yet flags convergence: the warm-started "
+    "fit at lambda~483 sits 0.021 above a cold fit (index 7.3 degrees apart), and the "
+    "path objective falls from lambda 483 to 1129 and from 2637 to 6158",
+)
+def test_logit_path_fits_are_minima():
+    config = ScenarioConfig("logit-convex", n=1000, param=8.0, seed=0)
+    X, y = gen_dataset(config, 0)
+    spec = ModelSpec(family="bernoulli_logit", p=5)
+    data = Dataset(y=y, X=X)
+    path = fit_path(spec, data)
+    k = 10  # lambda ~ 483 on the default grid
+    cold = fit(spec, data, lam=path.grid[k])
+    assert path.fits[k].converged and cold.converged
+    warm = path.fits[k].objective
+    assert warm <= cold.objective + 1e-8 * (1.0 + abs(cold.objective))
+    # the minimum of loss + lambda * penalty cannot fall as lambda grows
+    objs = np.array([f.objective for f in path.fits])
+    assert np.all(np.diff(objs) >= -1e-8 * (1.0 + np.abs(objs[1:])))

@@ -5,6 +5,8 @@ bit, and the harness against hand-counted outcomes with an injected
 failure.
 """
 
+import threading
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -173,6 +175,20 @@ def test_power_study_thread_count_invariant(tiny_table):
     table, cfg = tiny_table
     threaded = power_study([cfg], alpha=0.05, threads=2)
     assert threaded.to_csv() == table.to_csv()
+
+
+def test_power_study_runs_replicates_on_the_calling_thread(monkeypatch):
+    real = simlab.fit_path
+    idents = []
+
+    def recording(spec, data):
+        idents.append(threading.get_ident())
+        return real(spec, data)
+
+    monkeypatch.setattr(simlab, "fit_path", recording)
+    cfg = ScenarioConfig(scenario="gauss-sqrt", n=150, n_replicates=3, seed=5)
+    power_study([cfg], alpha=0.05, threads=3)
+    assert idents == [threading.get_ident()] * 3
 
 
 def test_power_study_alpha_guard():
