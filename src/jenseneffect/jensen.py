@@ -210,20 +210,32 @@ def truncate_psd(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
-def _influence_rows(path: LambdaPath, evals: list[EvalSet]) -> np.ndarray:
-    """Row k is g_k = Phi_k M_k^-1 c_k = d(delta_hat at grid[k]) / d(W z):
-    the sensitivity c_k of delta_hat to the spline coefficients carried
-    into observation space through d_hat = M^-1 Phi' W z."""
+def _influence_row(fit: FitResult, ev: EvalSet) -> np.ndarray:
+    """g = Phi M^-1 c = d(delta_hat) / d(W z) for one fit: the sensitivity c
+    of delta_hat to the spline coefficients carried into observation space
+    through d_hat = M^-1 Phi' W z."""
+    phi, _, V = _fit_system(fit)
+    return phi @ (V @ _sensitivity(ev, fit.coeffs.d))
+
+
+def _path_terms(path: LambdaPath) -> tuple[np.ndarray, np.ndarray]:
+    """(delta_hat, influence row) at every grid value, one fit at a time, so
+    that only one fit's evaluation set is alive at once."""
+    deltas = np.empty(len(path.fits))
     rows = np.empty((len(path.fits), path.data.n))
-    for k, (f, ev) in enumerate(zip(path.fits, evals)):
-        phi, _, V = _fit_system(f)
-        rows[k] = phi @ (V @ _sensitivity(ev, f.coeffs.d))
-    return rows
+    for k, f in enumerate(path.fits):
+        ev = make_eval_set(path.spec, path.data, f)
+        deltas[k] = delta_hat(f, ev)
+        rows[k] = _influence_row(f, ev)
+        del ev  # free this fit's set before the next one is built
+    return deltas, rows
 
 
 def _row_cov(path: LambdaPath, rows: np.ndarray, what: str) -> np.ndarray:
     """s G diag(w_ref) G', projected to the PSD cone, for influence rows G."""
-    sigma = truncate_psd(_noise_scale(path) * (rows * path.weight_ref[None, :]) @ rows.T)
+    scaled = rows * path.weight_ref[None, :]
+    scaled *= _noise_scale(path)  # in place: one m x n temporary, not two
+    sigma = truncate_psd(scaled @ rows.T)
     if np.all(np.diag(sigma) <= 0.0):
         raise DegenerateVarianceError(f"estimated variance of {what} is zero on the whole grid")
     return sigma
@@ -238,7 +250,8 @@ def delta_cov(path: LambdaPath, evals: list[EvalSet]) -> np.ndarray:
     """
     if len(evals) != len(path.fits):
         raise ValueError("need one evaluation set per grid value")
-    return _row_cov(path, _influence_rows(path, evals), "delta_hat")
+    rows = np.array([_influence_row(f, ev) for f, ev in zip(path.fits, evals)])
+    return _row_cov(path, rows, "delta_hat")
 
 
 def t_process(deltas: np.ndarray, sigma_delta: np.ndarray):
@@ -367,9 +380,8 @@ def jensen_test(
         raise ValueError(
             "the linear-reference comparison is run through alternative_null_test"
         )
-    evals = [make_eval_set(path.spec, path.data, f) for f in path.fits]
-    deltas = np.array([delta_hat(f, ev) for f, ev in zip(path.fits, evals)])
-    sigma = delta_cov(path, evals)
+    deltas, rows = _path_terms(path)
+    sigma = _row_cov(path, rows, "delta_hat")
     return _assemble_result(deltas, sigma, direction, alpha, n_sims, seed)
 
 
@@ -482,10 +494,10 @@ def alternative_null_test(
         raise ValueError("the linear-reference comparison applies to the logit family only")
     if ref.influence_row.shape != (path.data.n,):
         raise ValueError("the linear reference was fitted to a dataset of another size")
-    evals = [make_eval_set(path.spec, path.data, f) for f in path.fits]
-    deltas = np.array([delta_hat(f, ev) for f, ev in zip(path.fits, evals)]) - ref.delta_inf
-    rows = _influence_rows(path, evals) - ref.influence_row
+    deltas, rows = _path_terms(path)
+    rows -= ref.influence_row
     sigma = _row_cov(path, rows, "the difference process")
+    deltas -= ref.delta_inf
     return _assemble_result(
         deltas, sigma, "test_vs_linear_logistic", alpha, n_sims, seed
     )

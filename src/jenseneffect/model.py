@@ -245,12 +245,36 @@ class _Evaluator:
         self.yresp = _response(spec, data)
         self.inside = spec.extra_placement == "inside_index" and spec.q > 0
         self.outside = spec.extra_placement == "outside_index" and spec.q > 0
+        # (value, gradient) of value_and_grad_eig per point, keyed by its bytes
+        self._values: dict[bytes, tuple[float, np.ndarray]] = {}
+        # the index part of the last point evaluated and (u, E, phi0, phi1) there
+        self._index_key: bytes | None = None
+        self._index_state: tuple[np.ndarray, ...] | None = None
 
     def index(self, beta_unit: np.ndarray, gamma: np.ndarray) -> np.ndarray:
         E = self.data.X @ beta_unit
         if self.inside:
             E = E + self.data.A @ gamma
         return E
+
+    def at_index(self, beta_raw: np.ndarray, gamma: np.ndarray):
+        """(u, E, phi0, phi1) at the index (beta_raw, gamma): the unit
+        direction, the index values and the basis values and slopes there.
+
+        Only the last index asked for is kept, so a point costs one basis
+        evaluation however many of the objective, the Hessian seed and the
+        fitted values read it, and a fit holds one point's matrices at a
+        time.
+        """
+        key = beta_raw.tobytes() + gamma.tobytes()
+        if key != self._index_key:
+            # drop the previous point's matrices before allocating new ones
+            self._index_key = self._index_state = None
+            u = beta_raw / np.linalg.norm(beta_raw)
+            E = self.index(u, gamma)
+            phi0, phi1 = basis_matrices(self.basis, E, (0, 1))
+            self._index_key, self._index_state = key, (u, E, phi0, phi1)
+        return self._index_state
 
     def _core(self, d, beta_raw, gamma):
         """Loss value and its gradient pieces, penalty excluded.
@@ -262,9 +286,7 @@ class _Evaluator:
         norm = np.linalg.norm(beta_raw)
         if norm < 1e-12 or not np.isfinite(norm):
             return None
-        u = beta_raw / norm
-        E = self.index(u, gamma)
-        phi0, phi1 = basis_matrices(self.basis, E, (0, 1))
+        u, E, phi0, phi1 = self.at_index(beta_raw, gamma)
         in_domain = (E >= self.basis.lo) & (E <= self.basis.hi)
         eta = phi0 @ d
         if self.outside:
@@ -308,15 +330,24 @@ class _Evaluator:
         return value, np.concatenate([grad_d, grad_beta, grad_gamma])
 
     def value_and_grad_eig(self, zeta: np.ndarray):
-        """Objective and gradient in penalty-eigenbasis coordinates."""
-        c, beta_raw, gamma = _unpack(self.spec, zeta, self.basis.dim)
-        core = self._core(self.U @ c, beta_raw, gamma)
-        if core is None:
-            return 1e12, np.zeros_like(zeta)
-        loss, grad_d, grad_beta, grad_gamma = core
-        value = loss + self.lam * float(self.Lam @ (c * c))
-        grad_c = self.U.T @ grad_d + 2.0 * self.lam * self.Lam * c
-        return value, np.concatenate([grad_c, grad_beta, grad_gamma])
+        """Objective and gradient in penalty-eigenbasis coordinates.
+
+        Each point is computed once; a repeat returns the stored value and a
+        copy of the stored gradient, which the caller may modify.
+        """
+        key = zeta.tobytes()
+        if key not in self._values:
+            c, beta_raw, gamma = _unpack(self.spec, zeta, self.basis.dim)
+            core = self._core(self.U @ c, beta_raw, gamma)
+            if core is None:
+                self._values[key] = 1e12, np.zeros_like(zeta)
+            else:
+                loss, grad_d, grad_beta, grad_gamma = core
+                value = loss + self.lam * float(self.Lam @ (c * c))
+                grad_c = self.U.T @ grad_d + 2.0 * self.lam * self.Lam * c
+                self._values[key] = value, np.concatenate([grad_c, grad_beta, grad_gamma])
+        value, grad = self._values[key]
+        return value, grad.copy()
 
     def to_eig(self, theta: np.ndarray) -> np.ndarray:
         K = self.basis.dim
@@ -338,9 +369,7 @@ class _Evaluator:
         c, beta_raw, gamma = _unpack(spec, zeta, self.basis.dim)
         d = self.U @ c
         norm = np.linalg.norm(beta_raw)
-        u = beta_raw / norm
-        E = self.index(u, gamma)
-        phi0, phi1 = basis_matrices(self.basis, E, (0, 1))
+        u, E, phi0, phi1 = self.at_index(beta_raw, gamma)
         gprime = (phi1 @ d) * ((E >= self.basis.lo) & (E <= self.basis.hi))
         eta = phi0 @ d + (data.A @ gamma if self.outside else 0.0)
         if spec.family == "gaussian_log":
@@ -361,7 +390,10 @@ class _Evaluator:
         H = 0.5 * (H + H.T)
         # invert with an eigenvalue floor: the sphere-tangent direction is
         # flat, and scipy insists the seed be exactly symmetric and
-        # Cholesky-factorizable
+        # Cholesky-factorizable. Huge link coefficients overflow H, and eigh
+        # raises ValueError on non-finite input, so check before calling it.
+        if not np.all(np.isfinite(H)):
+            return np.eye(H.shape[0])
         try:
             w, V = scipy.linalg.eigh(H)
         except np.linalg.LinAlgError:
@@ -585,9 +617,8 @@ def fit(
     norm = np.linalg.norm(beta_raw)
     if norm == 0.0:
         raise DegenerateIndexError("optimizer collapsed the index direction to zero")
-    beta = beta_raw / norm
-    E = ev.index(beta, gamma)
-    eta = basis_matrices(basis, E, (0,))[0] @ d
+    beta, E, phi0, _ = ev.at_index(beta_raw, gamma)
+    eta = phi0 @ d
     if ev.outside:
         eta = eta + data.A @ gamma
     if spec.family == "gaussian_log":

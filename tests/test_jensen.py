@@ -6,6 +6,7 @@ closed-form normal quantiles for sizes one and two.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,17 +31,22 @@ from jenseneffect.jensen import (
     null_critical_value,
     t_process,
     truncate_psd,
-    _sensitivity,
+    _assemble_result,
+    _influence_row,
     _link_values,
+    _row_cov,
+    _sensitivity,
 )
 from jenseneffect.model import (
     Coefficients,
     Dataset,
     FitResult,
     ModelSpec,
+    default_lambda_grid,
     fit as fit_model,
     fit_path,
 )
+from jenseneffect.simlab import ScenarioConfig, gen_dataset
 
 
 def ghat_scalar(f, point):
@@ -675,3 +681,79 @@ def test_jensen_test_logit_default_direction(linear_logit_path):
     res = jensen_test(path, seed=2)
     assert res.direction == "test_positive"
     assert res.statistic == pytest.approx(float(res.t.max()))
+
+
+# --- one pass per fit ----------------------------------------------------------
+
+
+def assembled_from_eval_sets(path, direction, seed, ref=None):
+    """The test result built from one list holding every fit's evaluation
+    set, through the public pieces (the difference process has no public
+    covariance, so the logit comparison takes the rows directly)."""
+    evals = [make_eval_set(path.spec, path.data, f) for f in path.fits]
+    deltas = np.array([delta_hat(f, ev) for f, ev in zip(path.fits, evals)])
+    if ref is None:
+        sigma = delta_cov(path, evals)
+    else:
+        rows = np.array([_influence_row(f, ev) for f, ev in zip(path.fits, evals)])
+        sigma = _row_cov(path, rows - ref.influence_row, "the difference process")
+        deltas = deltas - ref.delta_inf
+    return _assemble_result(deltas, sigma, direction, 0.05, 5000, seed)
+
+
+def assert_same_result(got, want):
+    for name in ("deltas", "sigma_delta", "t", "sigma_t"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape
+        assert np.max(np.abs(a - b)) == 0.0, name
+    for name in ("kept", "statistic", "critical_value", "p_value", "reject", "direction", "warnings"):
+        assert getattr(got, name) == getattr(want, name), name
+
+
+@pytest.fixture(scope="module")
+def pois_path():
+    X, y = gen_dataset(ScenarioConfig("pois-logistic", n=300, param=8.0, seed=0), 0)
+    data = Dataset(y=y, X=X)
+    return fit_path(ModelSpec(family="poisson", p=X.shape[1]), data), data
+
+
+@pytest.mark.parametrize("fixture", ["sqrt_path", "pois_path"])
+def test_jensen_test_equals_the_result_from_all_eval_sets(fixture, request):
+    path, _ = request.getfixturevalue(fixture)
+    direction = "test_negative"
+    assert_same_result(
+        jensen_test(path, direction=direction, seed=5),
+        assembled_from_eval_sets(path, direction, 5),
+    )
+
+
+def test_alternative_null_test_equals_the_result_from_all_eval_sets(linear_logit_path):
+    path, data = linear_logit_path
+    ref = linear_logistic_reference(data)
+    assert_same_result(
+        alternative_null_test(path, ref, seed=5),
+        assembled_from_eval_sets(path, "test_vs_linear_logistic", 5, ref),
+    )
+
+
+def test_jensen_test_memory_does_not_grow_with_the_grid():
+    # One fit's evaluation set is alive at a time, so only the m x n influence
+    # rows grow with the grid m. Few null draws keep the n_sims x m draw
+    # matrix, which grows with the grid by design, out of the peak.
+    rng = np.random.default_rng(101)
+    n, p = 500, 5
+    X = rng.uniform(0.0, 0.5, size=(n, p))
+    y = np.sqrt(X @ (np.ones(p) / np.sqrt(p)) + 0.05) * np.exp(0.01 * rng.standard_normal(n))
+    data = Dataset(y=y, X=X)
+    peaks = []
+    for count in (20, 60):
+        spec = ModelSpec(family="gaussian_log", p=p, lambda_grid=default_lambda_grid(count=count))
+        path = fit_path(spec, data)
+        jensen_test(path, n_sims=100)  # fill the basis and penalty caches first
+        tracemalloc.start()
+        try:
+            jensen_test(path, n_sims=100)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] / peaks[0] < 1.5

@@ -13,10 +13,13 @@ from scipy.special import expit
 
 from jenseneffect.basis import basis_matrix, eval_basis, make_spline_basis
 from jenseneffect.errors import DegenerateIndexError, NumericalOverflowError
+import jenseneffect.model as model_module
 from jenseneffect.model import (
     Coefficients,
     Dataset,
     ModelSpec,
+    _Evaluator,
+    _initial_coefficients,
     fit,
     fit_path,
     gradient,
@@ -209,6 +212,74 @@ def test_gradient_dblock_is_penalty_at_zero_residuals():
     g = gradient(spec, data, coeffs, lam)
     expected = 2.0 * lam * penalty_matrix(spec.basis).entries @ coeffs.d
     assert np.max(np.abs(g[:8] - expected)) <= 1e-8 * max(1.0, np.max(np.abs(expected)))
+
+
+# --- evaluator --------------------------------------------------------------
+
+
+@pytest.fixture
+def basis_calls(monkeypatch):
+    """The index vectors `model` evaluates the basis at, in call order."""
+    calls = []
+    original = model_module.basis_matrices
+
+    def counting(basis, s, derivs):
+        calls.append(np.asarray(s).tobytes())
+        return original(basis, s, derivs)
+
+    monkeypatch.setattr(model_module, "basis_matrices", counting)
+    return calls
+
+
+def test_evaluator_returns_a_fresh_gradient_for_a_repeated_point(rng, basis_calls):
+    spec, data, coeffs = small_instance("poisson", rng, q=2)
+    ev = _Evaluator(spec, data, spec.basis, 0.7)
+    zeta = ev.to_eig(np.concatenate([coeffs.d, coeffs.beta, coeffs.gamma]))
+    value, grad = ev.value_and_grad_eig(zeta)
+    expected = grad.copy()
+    grad += 1.0  # scipy may update a returned gradient in place
+    again, grad_again = ev.value_and_grad_eig(zeta.copy())
+    assert again == value
+    np.testing.assert_array_equal(grad_again, expected)
+    assert len(basis_calls) == 1
+
+
+def test_fit_evaluates_the_basis_once_per_index(basis_calls, monkeypatch):
+    # The start, the Hessian seeds, the restart, the gradient check and the
+    # fitted values all read points the optimizer has already evaluated.
+    # Only the last index is kept, so a line search that comes back to an
+    # older index pays again: gaussian fits near convergence alternate
+    # between the iterate and trial points whose index part rounds to it.
+    # This poisson path has no such returns.
+    per_fit = []
+
+    def counted_fit(*args, **kwargs):
+        basis_calls.clear()
+        res = fit(*args, **kwargs)
+        per_fit.append((len(basis_calls), len(set(basis_calls))))
+        return res
+
+    monkeypatch.setattr(model_module, "fit", counted_fit)
+    X, y = gen_dataset(ScenarioConfig("pois-logistic", n=300, param=8.0, seed=0), 0)
+    fit_path(ModelSpec(family="poisson", p=X.shape[1]), Dataset(y=y, X=X))
+    assert len(per_fit) == 20
+    for calls, distinct in per_fit:
+        assert calls == distinct
+
+
+def test_gauss_newton_seed_falls_back_to_identity_when_the_hessian_overflows():
+    X, y = gen_dataset(ScenarioConfig("pois-logistic", n=300, seed=0), 0)
+    spec = ModelSpec(family="poisson", p=X.shape[1])
+    data = Dataset(y=y, X=X)
+    init, basis = _initial_coefficients(spec, data)
+    far = Coefficients(beta=init.beta, gamma=init.gamma, d=init.d + np.linspace(0.0, 1e6, basis.dim))
+    ev = _Evaluator(spec, data, basis, 1.0)
+    zeta = ev.to_eig(np.concatenate([far.d, far.beta, far.gamma]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        seed = ev.gauss_newton_hess_inv(zeta)
+        res = fit(spec, data, 1.0, init=far, basis=basis)
+    np.testing.assert_array_equal(seed, np.eye(zeta.size))
+    assert np.isfinite(res.objective)
 
 
 # --- fit --------------------------------------------------------------------
