@@ -40,6 +40,9 @@ __all__ = [
     "fourier_design",
 ]
 
+# basis_for_index pads each end of the index range by this fraction of its width
+INDEX_PAD = 0.05
+
 
 @dataclass(frozen=True)
 class SplineBasis:
@@ -132,7 +135,7 @@ def make_spline_basis(lo: float, hi: float, dim: int = 25, degree: int = 5) -> S
     return SplineBasis(degree=degree, dim=dim, knots=tuple(float(k) for k in knots))
 
 
-def basis_for_index(values: np.ndarray, dim: int = 25, degree: int = 5, pad: float = 0.05) -> SplineBasis:
+def basis_for_index(values: np.ndarray, dim: int = 25, degree: int = 5) -> SplineBasis:
     """Basis whose domain covers the given index values with relative padding.
 
     The padding leaves room for the index to drift as the coefficients move
@@ -149,8 +152,8 @@ def basis_for_index(values: np.ndarray, dim: int = 25, degree: int = 5, pad: flo
         # degenerate index: fall back to a unit window around the point
         lo, hi = lo - 0.5, hi + 0.5
     else:
-        lo -= pad * width
-        hi += pad * width
+        lo -= INDEX_PAD * width
+        hi += INDEX_PAD * width
     return make_spline_basis(lo, hi, dim=dim, degree=degree)
 
 

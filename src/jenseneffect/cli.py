@@ -16,7 +16,6 @@ import os
 import sys
 
 import numpy as np
-from scipy.special import expit
 
 from .basis import FourierBasis, basis_matrix, fourier_design
 from .errors import NumericalError
@@ -26,7 +25,7 @@ from .jensen import (
     jensen_test,
     linear_logistic_reference,
 )
-from .model import Dataset, ModelSpec, default_lambda_grid, fit_path
+from .model import FAMILY_TABLE, Dataset, ModelSpec, default_lambda_grid, fit_path
 from .simlab import ScenarioConfig, power_study
 
 FAMILY_FLAGS = {
@@ -41,6 +40,8 @@ DIRECTION_FLAGS = {
 }
 PLACEMENT_FLAGS = {"inside": "inside_index", "outside": "outside_index"}
 MISSING_TOKENS = {"", "na", "nan", "null"}
+# points on the fitted link curve in ghat.csv
+GHAT_POINTS = 200
 
 
 # --- ingestion ------------------------------------------------------------------
@@ -203,11 +204,16 @@ def _json_num(v: float) -> float | None:
     return float(v) if math.isfinite(v) else None
 
 
-def _result_bundle(spec, path, res, meta) -> dict:
-    m = len(path.grid)
+def _se_and_t(path, res) -> tuple[np.ndarray, np.ndarray]:
+    """Per-lambda delta standard errors and t values, NaN where dropped."""
     se = np.sqrt(np.maximum(np.diag(res.sigma_delta), 0.0))
-    t_full = np.full(m, np.nan)
+    t_full = np.full(len(path.grid), np.nan)
     t_full[list(res.kept)] = res.t
+    return se, t_full
+
+
+def _result_bundle(spec, path, res, meta) -> dict:
+    se, t_full = _se_and_t(path, res)
     basis = path.selected_fit.basis
     per_lambda = [
         {
@@ -218,7 +224,7 @@ def _result_bundle(spec, path, res, meta) -> dict:
             "gcv": _json_num(path.gcv[k]),
             "converged": bool(path.fits[k].converged),
         }
-        for k in range(m)
+        for k in range(len(path.grid))
     ]
     return {
         "model": {
@@ -250,12 +256,9 @@ def _result_bundle(spec, path, res, meta) -> dict:
 
 
 def _sidecar_delta(path, res) -> str:
-    m = len(path.grid)
-    se = np.sqrt(np.maximum(np.diag(res.sigma_delta), 0.0))
-    t_full = np.full(m, np.nan)
-    t_full[list(res.kept)] = res.t
+    se, t_full = _se_and_t(path, res)
     lines = ["log10_lambda,delta,se,t"]
-    for k in range(m):
+    for k in range(len(path.grid)):
         lines.append(
             f"{_fmt(math.log10(path.grid[k]))},{_fmt(res.deltas[k])},"
             f"{_fmt(se[k])},{_fmt(t_full[k])}"
@@ -263,17 +266,14 @@ def _sidecar_delta(path, res) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _sidecar_ghat(path, n_points: int = 200) -> str:
+def _sidecar_ghat(path) -> str:
     sel = path.selected_fit
     E = sel.index_values
-    s = np.linspace(float(E.min()), float(E.max()), n_points)
+    s = np.linspace(float(E.min()), float(E.max()), GHAT_POINTS)
     ghat = basis_matrix(sel.basis, s) @ sel.coeffs.d
-    if sel.family == "bernoulli_logit":
-        hg = expit(ghat)
-    else:
-        hg = np.exp(np.clip(ghat, -700.0, 700.0))
+    hg = FAMILY_TABLE[sel.family].h(ghat)
     lines = ["s,ghat,hg"]
-    for k in range(n_points):
+    for k in range(GHAT_POINTS):
         lines.append(f"{_fmt(s[k])},{_fmt(ghat[k])},{_fmt(hg[k])}")
     return "\n".join(lines) + "\n"
 

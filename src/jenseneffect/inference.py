@@ -21,7 +21,7 @@ import scipy.linalg
 
 from .basis import basis_matrices, penalty_matrix
 from .errors import DegreesOfFreedomError, NumericalError
-from .model import Dataset, FitResult, ModelSpec
+from .model import FAMILY_TABLE, Dataset, FitResult, ModelSpec
 
 __all__ = [
     "LambdaPath",
@@ -66,13 +66,8 @@ class CoefCovariance:
 
 
 def fit_weights(fit: FitResult) -> np.ndarray:
-    """Family weight vector: 1 (gaussian), mu (poisson), pi(1-pi) (logit)."""
-    if fit.family == "gaussian_log":
-        return np.ones_like(fit.eta)
-    if fit.family == "poisson":
-        return fit.mu_or_pi.copy()
-    pi = fit.mu_or_pi
-    return pi * (1.0 - pi)
+    """The family's IRLS weight at the fitted means (`Family.weight`)."""
+    return FAMILY_TABLE[fit.family].weight(fit.mu_or_pi)
 
 
 def _design(fit: FitResult) -> np.ndarray:
@@ -147,7 +142,7 @@ def effective_df(fit: FitResult) -> tuple[float, float]:
 def sigma2_hat(path: LambdaPath) -> float:
     """Residual variance at the GCV-selected lambda:
     sum of squared residuals over n - 2 tr S + tr SS' - (p + q)."""
-    if path.spec.family != "gaussian_log":
+    if not FAMILY_TABLE[path.spec.family].dispersion:
         raise ValueError("sigma2_hat applies to the gaussian_log family only")
     fit = path.selected_fit
     tr_s, tr_ss = effective_df(fit)
@@ -164,8 +159,8 @@ def sigma2_hat(path: LambdaPath) -> float:
 
 
 def build_path(spec: ModelSpec, data: Dataset, fits: list[FitResult]) -> LambdaPath:
-    """Attach GCV values, the selected index, reference weights, and (for the
-    gaussian family) the residual-variance estimate to a list of fits."""
+    """Attach GCV values, the selected index, reference weights, and (for a
+    family with a dispersion) the residual variance to a list of fits."""
     path_warnings: list[str] = []
     gcvs = np.full(len(fits), np.inf)
     for k, f in enumerate(fits):
@@ -189,7 +184,7 @@ def build_path(spec: ModelSpec, data: Dataset, fits: list[FitResult]) -> LambdaP
         weight_ref=fit_weights(fits[selected]),
         warnings=tuple(path_warnings),
     )
-    if spec.family == "gaussian_log":
+    if FAMILY_TABLE[spec.family].dispersion:
         try:
             path.sigma2 = sigma2_hat(path)
         except DegreesOfFreedomError as exc:
@@ -211,9 +206,9 @@ def _check_same_frame(path: LambdaPath, i: int, j: int) -> None:
 
 
 def _noise_scale(path: LambdaPath) -> float:
-    """The factor s in cov(W z) = s diag(w_ref): the residual variance for
-    gaussian_log (where w = 1), 1 for poisson and bernoulli_logit."""
-    if path.spec.family != "gaussian_log":
+    """The factor s in cov(W z) = s diag(w_ref): the residual variance for a
+    family with a dispersion (gaussian_log, where w = 1), else 1."""
+    if not FAMILY_TABLE[path.spec.family].dispersion:
         return 1.0
     if path.sigma2 is None:
         raise DegreesOfFreedomError(

@@ -4,13 +4,13 @@ The Jensen effect of covariate variability is
 
     delta = mean_i h(g(E_i)) - h(g(E_bar))
 
-(with h = exp for gaussian_log / poisson and h = logistic for
-bernoulli_logit, where the logistic version averages the paired difference
-per observation so extra covariates stay at their own values). delta_hat is
-computed at every lambda on a fitted path; a multivariate normal null for
-the normalized process t_lambda gives a critical value for min/max-type
-statistics, simulated rather than asymptotic because the per-lambda
-estimates are strongly dependent.
+(with h the family's Jensen transform, `Family.h`: exp for gaussian_log /
+poisson, logistic for bernoulli_logit; a paired family averages the
+difference per observation so extra covariates stay at their own values).
+delta_hat is computed at every lambda on a fitted path; a multivariate
+normal null for the normalized process t_lambda gives a critical value for
+min/max-type statistics, simulated rather than asymptotic because the
+per-lambda estimates are strongly dependent.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .errors import (
 )
 from .inference import LambdaPath, _fit_system, _noise_scale
 from .inference import coef_cov  # noqa: F401  perfbench/tracing.py wraps jensen.coef_cov by name
-from .model import Dataset, FitResult, ModelSpec
+from .model import FAMILY_TABLE, Dataset, FitResult, ModelSpec
 
 __all__ = [
     "EvalSet",
@@ -51,18 +51,18 @@ __all__ = [
 ]
 
 DIRECTIONS = ("test_negative", "test_positive", "test_vs_linear_logistic")
-G_CLIP = 700.0
+REFERENCE_MAX_ITER = 100
 
 
 @dataclass(frozen=True, eq=False)
 class EvalSet:
     """Augmented evaluation points for one fit.
 
-    gaussian_log / poisson: n index values followed by their mean, weights
-    (1/n, ..., 1/n, -1). bernoulli_logit: n interleaved pairs (observed
-    index, index with the environmental part averaged), weights
-    (1/n, -1/n, ...); `offsets` carries any extra-covariate contribution
-    that enters after the link (outside_index placement).
+    Unpaired families: n index values followed by their mean, weights
+    (1/n, ..., 1/n, -1). Paired: n interleaved pairs (observed index, index
+    with the environmental part averaged), weights (1/n, -1/n, ...);
+    `offsets` carries any extra-covariate contribution that enters after
+    the link (outside_index placement).
     """
 
     family: str
@@ -127,11 +127,10 @@ def _mean_snap(x: np.ndarray) -> float:
 def make_eval_set(spec: ModelSpec, data: Dataset, fit: FitResult) -> EvalSet:
     """Build the augmented evaluation points for one fit, in its own frame."""
     n = data.n
-    if spec.family in ("gaussian_log", "poisson"):
+    if not FAMILY_TABLE[spec.family].paired:
         E = fit.index_values
         points = np.append(E, _mean_snap(E))
-        weights = np.full(n + 1, 1.0 / n)
-        weights[n] = -1.0
+        weights = np.append(np.full(n, 1.0 / n), -1.0)
         offsets = np.zeros(n + 1)
     else:
         x = data.X @ fit.coeffs.beta
@@ -147,9 +146,7 @@ def make_eval_set(spec: ModelSpec, data: Dataset, fit: FitResult) -> EvalSet:
         points = np.empty(2 * n)
         points[0::2] = base + x
         points[1::2] = base + xbar
-        weights = np.empty(2 * n)
-        weights[0::2] = 1.0 / n
-        weights[1::2] = -1.0 / n
+        weights = _paired_weights(n)
         offsets = np.repeat(after, 2)
     phi_plus = basis_matrix(fit.basis, points)
     return EvalSet(
@@ -158,44 +155,36 @@ def make_eval_set(spec: ModelSpec, data: Dataset, fit: FitResult) -> EvalSet:
 
 
 def _link_values(ev: EvalSet, d: np.ndarray) -> np.ndarray:
-    g = ev.phi_plus @ d + ev.offsets
-    if ev.family in ("gaussian_log", "poisson"):
-        if np.any(np.abs(g) > G_CLIP):
-            _warnings.warn(
-                "link values beyond +-700 clipped before exponentiation",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            g = np.clip(g, -G_CLIP, G_CLIP)
-        return np.exp(g)
-    return expit(g)
+    return FAMILY_TABLE[ev.family].h(ev.phi_plus @ d + ev.offsets)
+
+
+def _paired_weights(n: int) -> np.ndarray:
+    return np.tile([1.0 / n, -1.0 / n], n)
+
+
+def _paired_mean(hv: np.ndarray) -> float:
+    # pairwise differencing: identical pair members cancel exactly
+    diffs = hv[0::2] - hv[1::2]
+    return float(np.sum(diffs) / diffs.size)
 
 
 def delta_hat(fit: FitResult, ev: EvalSet) -> float:
     """The Jensen-effect estimate for one fit.
 
     Exactly zero whenever the fitted values are constant over the evaluation
-    points, and (logistic case) whenever every pair is degenerate.
+    points, and (paired case) whenever every pair is degenerate.
     """
     hv = _link_values(ev, fit.coeffs.d)
     if np.ptp(hv) == 0.0:
         return 0.0
-    if ev.family == "bernoulli_logit":
-        # pairwise differencing: identical pair members cancel exactly
-        diffs = hv[0::2] - hv[1::2]
-        n = diffs.size
-        return float(np.sum(diffs) / n)
+    if FAMILY_TABLE[ev.family].paired:
+        return _paired_mean(hv)
     return float(ev.weights @ hv)
 
 
 def _sensitivity(ev: EvalSet, d: np.ndarray) -> np.ndarray:
     """c = Phi+' (a * h'(g+)): gradient of delta_hat in the spline block."""
-    g = ev.phi_plus @ d + ev.offsets
-    if ev.family in ("gaussian_log", "poisson"):
-        hprime = np.exp(np.clip(g, -G_CLIP, G_CLIP))
-    else:
-        pi = expit(g)
-        hprime = pi * (1.0 - pi)
+    hprime = FAMILY_TABLE[ev.family].h_prime(ev.phi_plus @ d + ev.offsets)
     return ev.phi_plus.T @ (ev.weights * hprime)
 
 
@@ -328,16 +317,14 @@ def null_critical_value(
 
 
 def default_direction(family: str) -> str:
-    # exp link: concavity of the composite map pulls delta negative, so the
-    # interesting alternative is delta < 0; the logistic analogue is convex
-    return "test_positive" if family == "bernoulli_logit" else "test_negative"
+    return FAMILY_TABLE[family].direction
 
 
-def _assemble_result(deltas, sigma, direction, alpha, n_sims, seed, extra_warnings=()):
+def _assemble_result(deltas, sigma, direction, alpha, n_sims, seed):
     with _warnings.catch_warnings(record=True) as caught:
         _warnings.simplefilter("always")
         t, sigma_t, kept = t_process(deltas, sigma)
-    notes = tuple(str(w.message) for w in caught) + tuple(extra_warnings)
+    notes = tuple(str(w.message) for w in caught)
     critical, p_fn = null_critical_value(sigma_t, alpha, direction, n_sims, seed)
     if direction == "test_negative":
         statistic = float(t.min())
@@ -388,11 +375,11 @@ def jensen_test(
 # --- linear-logistic reference ------------------------------------------------
 
 
-def _linear_logistic_irls(y: np.ndarray, D: np.ndarray, max_iter: int = 100) -> np.ndarray:
+def _linear_logistic_irls(y: np.ndarray, D: np.ndarray) -> np.ndarray:
     b = np.zeros(D.shape[1])
     mean = min(max(float(np.mean(y)), 1e-12), 1 - 1e-12)
     b[0] = np.log(mean / (1 - mean))
-    for _ in range(max_iter):
+    for _ in range(REFERENCE_MAX_ITER):
         eta = D @ b
         pi = expit(eta)
         w = np.maximum(pi * (1 - pi), 1e-12)
@@ -405,7 +392,7 @@ def _linear_logistic_irls(y: np.ndarray, D: np.ndarray, max_iter: int = 100) -> 
             return b_new
         b = b_new
     raise SeparationError(
-        "logistic regression did not converge in 100 iterations; "
+        f"logistic regression did not converge in {REFERENCE_MAX_ITER} iterations; "
         "the data are (nearly) separated"
     )
 
@@ -433,23 +420,12 @@ def _reference_eval_design(data: Dataset) -> np.ndarray:
     return Dplus
 
 
-def _reference_delta(data: Dataset, pi_plus: np.ndarray) -> float:
-    if np.ptp(pi_plus) == 0.0:
-        return 0.0
-    diffs = pi_plus[0::2] - pi_plus[1::2]
-    return float(np.sum(diffs) / data.n)
-
-
 def _reference_influence_row(
     D: np.ndarray, Dplus: np.ndarray, pi_plus: np.ndarray, fitted: np.ndarray
 ) -> np.ndarray:
     """d(delta_inf)/dy, through the weighted least-squares coefficient map
     of the linear fit: D (D' W D)^-1 Dplus' (a * h'(Dplus coef))."""
-    n = D.shape[0]
-    a = np.empty(2 * n)
-    a[0::2] = 1.0 / n
-    a[1::2] = -1.0 / n
-    b_inf = Dplus.T @ (a * pi_plus * (1.0 - pi_plus))
+    b_inf = Dplus.T @ (_paired_weights(D.shape[0]) * pi_plus * (1.0 - pi_plus))
     w_inf = fitted * (1.0 - fitted)
     return D @ scipy.linalg.solve(D.T @ (D * w_inf[:, None]), b_inf, assume_a="sym")
 
@@ -476,7 +452,7 @@ def linear_logistic_reference(data: Dataset, path: LambdaPath | None = None) -> 
         beta_inf=coef[1 + q :].copy(),
         gamma_inf=coef[1 : 1 + q].copy(),
         fitted_pi=fitted,
-        delta_inf=_reference_delta(data, pi_plus),
+        delta_inf=0.0 if np.ptp(pi_plus) == 0.0 else _paired_mean(pi_plus),
         influence_row=_reference_influence_row(D, Dplus, pi_plus, fitted),
     )
 

@@ -16,7 +16,9 @@ tangent accordingly.
 
 from __future__ import annotations
 
+import warnings as _warnings
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -35,6 +37,8 @@ from .errors import DegenerateIndexError, NumericalOverflowError
 
 __all__ = [
     "FAMILIES",
+    "FAMILY_TABLE",
+    "Family",
     "ModelSpec",
     "Dataset",
     "Coefficients",
@@ -46,12 +50,97 @@ __all__ = [
     "fit_path",
 ]
 
-FAMILIES = ("gaussian_log", "poisson", "bernoulli_logit")
 PLACEMENTS = ("inside_index", "outside_index")
 
 # exp overflows just above 709; freeze the exponential there so the fitter
 # sees a finite surface even when a line-search step shoots eta out of range
 ETA_CLIP = 700.0
+
+
+@dataclass(frozen=True)
+class Family:
+    """What the fitter, the smoother and the Jensen test know of a family."""
+
+    loss: Callable  # (eta, y) -> (unhalved loss summed over y, its eta-derivative)
+    curvature: Callable  # eta -> the loss's second eta-derivative
+    mean: Callable  # eta -> mu, the inverse link
+    weight: Callable  # mu -> the IRLS weight
+    h: Callable  # g -> the Jensen transform of a link value
+    h_prime: Callable  # g -> its slope
+    direction: str  # the default sign test
+    paired: bool  # delta pairs each observation with its environment-averaged twin
+    dispersion: bool  # carries a residual variance, sigma2
+    response: Callable  # y -> what the link models
+    invalid: Callable  # y -> why the family cannot take y, or None
+
+
+def _gaussian_loss(eta, y):
+    r = y - eta
+    return float(r @ r), -2.0 * r
+
+
+def _capped_exp(eta):
+    # one-sided: the fitter's mean and curvature keep the lower tail exact
+    return np.exp(np.minimum(eta, ETA_CLIP))
+
+
+def _poisson_loss(eta, y):
+    ex = _capped_exp(eta)
+    # beyond the cap the capped exponential is flat: its part of the score is 0
+    return float(np.sum(ex - y * eta)), np.where(eta < ETA_CLIP, ex, 0.0) - y
+
+
+def _clipped_exp(g):
+    return np.exp(np.clip(g, -ETA_CLIP, ETA_CLIP))
+
+
+def _exp_transform(g):
+    if np.any(np.abs(g) > ETA_CLIP):
+        msg = f"link values beyond +-{ETA_CLIP:g} clipped before exponentiation"
+        _warnings.warn(msg, RuntimeWarning, stacklevel=4)  # delta_hat's caller
+    return _clipped_exp(g)
+
+
+def _bernoulli_variance(pi):
+    return pi * (1.0 - pi)
+
+
+def _gaussian_invalid(y):
+    if np.any(y <= 0):
+        bad = int(np.argmax(y <= 0))
+        return f"gaussian_log needs strictly positive responses; observation {bad} has y={y[bad]}"
+    return None
+
+
+# direction: the exp link's concavity pulls delta negative, so the interesting
+# alternative is delta < 0; the logistic analogue is convex
+FAMILY_TABLE = {
+    "gaussian_log": Family(
+        loss=_gaussian_loss, curvature=lambda eta: np.full(eta.size, 2.0),
+        mean=lambda eta: eta.copy(), weight=np.ones_like,
+        h=_exp_transform, h_prime=_clipped_exp,
+        direction="test_negative", paired=False, dispersion=True,
+        response=np.log, invalid=_gaussian_invalid,
+    ),
+    "poisson": Family(
+        loss=_poisson_loss, curvature=_capped_exp,
+        mean=_capped_exp, weight=lambda mu: mu.copy(),
+        h=_exp_transform, h_prime=_clipped_exp,
+        direction="test_negative", paired=False, dispersion=False,
+        response=lambda y: y,
+        invalid=lambda y: "poisson responses must be nonnegative" if np.any(y < 0) else None,
+    ),
+    "bernoulli_logit": Family(
+        loss=lambda eta, y: (float(np.sum(np.logaddexp(0.0, eta) - y * eta)), expit(eta) - y),
+        curvature=lambda eta: _bernoulli_variance(expit(eta)),
+        mean=expit, weight=_bernoulli_variance,
+        h=expit, h_prime=lambda g: _bernoulli_variance(expit(g)),
+        direction="test_positive", paired=True, dispersion=False,
+        response=lambda y: y,
+        invalid=lambda y: None if np.all(np.isin(y, (0.0, 1.0))) else "bernoulli_logit responses must be 0/1",
+    ),
+}
+FAMILIES = tuple(FAMILY_TABLE)
 
 GRAD_TOL = 1e-6
 OBJ_REL_TOL = 1e-10
@@ -197,18 +286,9 @@ def _validate(spec: ModelSpec, data: Dataset) -> None:
     q = 0 if data.A is None else data.A.shape[1]
     if q != spec.q:
         raise ValueError(f"A has {q} columns but spec.q = {spec.q}")
-    if spec.family == "gaussian_log" and np.any(data.y <= 0):
-        bad = int(np.argmax(data.y <= 0))
-        raise ValueError(f"gaussian_log needs strictly positive responses; observation {bad} has y={data.y[bad]}")
-    if spec.family == "poisson" and np.any(data.y < 0):
-        raise ValueError("poisson responses must be nonnegative")
-    if spec.family == "bernoulli_logit" and not np.all(np.isin(data.y, (0.0, 1.0))):
-        raise ValueError("bernoulli_logit responses must be 0/1")
-
-
-def _response(spec: ModelSpec, data: Dataset) -> np.ndarray:
-    # gaussian_log models the log response; the other families model y itself
-    return np.log(data.y) if spec.family == "gaussian_log" else data.y
+    problem = FAMILY_TABLE[spec.family].invalid(data.y)
+    if problem is not None:
+        raise ValueError(problem)
 
 
 def _unpack(spec: ModelSpec, theta: np.ndarray, K: int):
@@ -221,18 +301,19 @@ def _unpack(spec: ModelSpec, theta: np.ndarray, K: int):
 class _Evaluator:
     """Fused objective/gradient for one (spec, data, basis, lambda) tuple.
 
-    Public parameter layout ("d-coordinates"): [d (K), beta_raw (p),
-    gamma (q)]. beta is renormalized inside the evaluation; the returned
-    beta gradient is the tangent-projected derivative of the renormalized
-    objective, so finite differences of the objective agree with the
-    gradient coordinatewise.
-
-    The optimizer itself runs in "c-coordinates" where the spline block is
-    rotated into the penalty eigenbasis (d = U c). There the penalty term is
+    The public parameter layout ("d-coordinates") is [d (K), beta_raw (p),
+    gamma (q)]; `to_eig`/`from_eig` map it to and from the "c-coordinates"
+    that every evaluation runs in, where the spline block is rotated into
+    the penalty eigenbasis (d = U c). There the penalty term is
     lambda * sum(Lam_j c_j^2) with an exact diagonal gradient; in raw
     coordinates 2*lambda*P@d carries cancellation noise up to ~1e-3 for
     near-affine d at the top of the default grid, which stalls any line
     search long before the gradient tolerance.
+
+    beta is renormalized inside the evaluation; the returned beta gradient
+    is the tangent-projected derivative of the renormalized objective, so
+    finite differences of the objective agree with the gradient
+    coordinatewise.
     """
 
     def __init__(self, spec: ModelSpec, data: Dataset, basis: SplineBasis, lam: float):
@@ -242,7 +323,8 @@ class _Evaluator:
         self.lam = lam
         self.P = penalty_matrix(basis).entries
         self.Lam, self.U = penalty_eigh(basis)
-        self.yresp = _response(spec, data)
+        self.family = FAMILY_TABLE[spec.family]
+        self.yresp = self.family.response(data.y)
         self.inside = spec.extra_placement == "inside_index" and spec.q > 0
         self.outside = spec.extra_placement == "outside_index" and spec.q > 0
         # (value, gradient) of value_and_grad_eig per point, keyed by its bytes
@@ -250,12 +332,6 @@ class _Evaluator:
         # the index part of the last point evaluated and (u, E, phi0, phi1) there
         self._index_key: bytes | None = None
         self._index_state: tuple[np.ndarray, ...] | None = None
-
-    def index(self, beta_unit: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-        E = self.data.X @ beta_unit
-        if self.inside:
-            E = E + self.data.A @ gamma
-        return E
 
     def at_index(self, beta_raw: np.ndarray, gamma: np.ndarray):
         """(u, E, phi0, phi1) at the index (beta_raw, gamma): the unit
@@ -271,7 +347,9 @@ class _Evaluator:
             # drop the previous point's matrices before allocating new ones
             self._index_key = self._index_state = None
             u = beta_raw / np.linalg.norm(beta_raw)
-            E = self.index(u, gamma)
+            E = self.data.X @ u
+            if self.inside:
+                E = E + self.data.A @ gamma
             phi0, phi1 = basis_matrices(self.basis, E, (0, 1))
             self._index_key, self._index_state = key, (u, E, phi0, phi1)
         return self._index_state
@@ -288,24 +366,9 @@ class _Evaluator:
             return None
         u, E, phi0, phi1 = self.at_index(beta_raw, gamma)
         in_domain = (E >= self.basis.lo) & (E <= self.basis.hi)
-        eta = phi0 @ d
-        if self.outside:
-            eta = eta + data.A @ gamma
+        eta = phi0 @ d + data.A @ gamma if self.outside else phi0 @ d
 
-        y = self.yresp
-        if spec.family == "gaussian_log":
-            r = y - eta
-            loss = float(r @ r)
-            v = -2.0 * r
-        elif spec.family == "poisson":
-            live = eta < ETA_CLIP
-            ex = np.exp(np.minimum(eta, ETA_CLIP))
-            loss = float(np.sum(ex - y * eta))
-            v = np.where(live, ex, 0.0) - y
-        else:
-            loss = float(np.sum(np.logaddexp(0.0, eta) - y * eta))
-            v = expit(eta) - y
-
+        loss, v = self.family.loss(eta, self.yresp)
         grad_d = phi0.T @ v
         # the index only moves eta through g where E is unclamped
         w = v * (phi1 @ d) * in_domain
@@ -316,18 +379,6 @@ class _Evaluator:
         else:
             grad_gamma = np.zeros(0)
         return loss, grad_d, grad_beta, grad_gamma
-
-    def value_and_grad(self, theta: np.ndarray):
-        """Objective and gradient in raw d-coordinates."""
-        d, beta_raw, gamma = _unpack(self.spec, theta, self.basis.dim)
-        core = self._core(d, beta_raw, gamma)
-        if core is None:
-            return 1e12, np.zeros_like(theta)
-        loss, grad_d, grad_beta, grad_gamma = core
-        Pd = self.P @ d
-        value = loss + self.lam * float(d @ Pd)
-        grad_d = grad_d + 2.0 * self.lam * Pd
-        return value, np.concatenate([grad_d, grad_beta, grad_gamma])
 
     def value_and_grad_eig(self, zeta: np.ndarray):
         """Objective and gradient in penalty-eigenbasis coordinates.
@@ -371,14 +422,8 @@ class _Evaluator:
         norm = np.linalg.norm(beta_raw)
         u, E, phi0, phi1 = self.at_index(beta_raw, gamma)
         gprime = (phi1 @ d) * ((E >= self.basis.lo) & (E <= self.basis.hi))
-        eta = phi0 @ d + (data.A @ gamma if self.outside else 0.0)
-        if spec.family == "gaussian_log":
-            q = np.full(eta.size, 2.0)
-        elif spec.family == "poisson":
-            q = np.exp(np.minimum(eta, ETA_CLIP))
-        else:
-            pi = expit(eta)
-            q = pi * (1.0 - pi)
+        eta = phi0 @ d + data.A @ gamma if self.outside else phi0 @ d
+        q = self.family.curvature(eta)
         tangent = (np.eye(spec.p) - np.outer(u, u)) / norm
         blocks = [phi0 @ self.U, gprime[:, None] * (data.X @ tangent)]
         if spec.q > 0:
@@ -427,13 +472,10 @@ def objective(spec: ModelSpec, data: Dataset, coeffs: Coefficients, lam: float) 
     """
     ev, theta = _evaluator(spec, data, coeffs, lam)
     d, beta_raw, gamma = _unpack(spec, theta, ev.basis.dim)
-    norm = np.linalg.norm(beta_raw)
-    if norm == 0.0:
+    if np.linalg.norm(beta_raw) == 0.0:
         raise DegenerateIndexError("index coefficients are identically zero")
-    E = ev.index(beta_raw / norm, gamma)
-    eta = basis_matrices(ev.basis, E, (0,))[0] @ d
-    if ev.outside:
-        eta = eta + data.A @ gamma
+    phi0 = ev.at_index(beta_raw, gamma)[2]
+    eta = phi0 @ d + data.A @ gamma if ev.outside else phi0 @ d
     y = ev.yresp
     if spec.family == "gaussian_log":
         terms = (y - eta) ** 2
@@ -454,10 +496,10 @@ def gradient(spec: ModelSpec, data: Dataset, coeffs: Coefficients, lam: float) -
     """Analytic gradient of `objective`, ordered [d, beta, gamma], with the
     beta block projected onto the unit-sphere tangent."""
     ev, theta = _evaluator(spec, data, coeffs, lam)
-    value, grad = ev.value_and_grad(theta)
+    value, grad = ev.value_and_grad_eig(ev.to_eig(theta))
     if not np.isfinite(value):
         raise NumericalOverflowError("objective is not finite at the supplied coefficients")
-    return grad
+    return ev.from_eig(grad)
 
 
 def _irls_linear(family: str, y: np.ndarray, D: np.ndarray) -> np.ndarray:
@@ -465,26 +507,20 @@ def _irls_linear(family: str, y: np.ndarray, D: np.ndarray) -> np.ndarray:
     least-squares proxy if the iterations go non-finite."""
     if family == "gaussian_log":
         return np.linalg.lstsq(D, np.log(y), rcond=None)[0]
-    if family == "poisson":
-        fallback = np.linalg.lstsq(D, np.log(y + 0.5), rcond=None)[0]
-    else:
-        fallback = np.linalg.lstsq(D, y - 0.5, rcond=None)[0]
     b = np.zeros(D.shape[1])
     mean = float(np.mean(y))
     if family == "poisson":
+        fallback = np.linalg.lstsq(D, np.log(y + 0.5), rcond=None)[0]
         b[-1] = np.log(max(mean, 1e-3))
     else:
+        fallback = np.linalg.lstsq(D, y - 0.5, rcond=None)[0]
         mean = min(max(mean, 1e-3), 1 - 1e-3)
         b[-1] = np.log(mean / (1 - mean))
+    fam = FAMILY_TABLE[family]
     for _ in range(25):
         eta = D @ b
-        if family == "poisson":
-            mu = np.exp(np.minimum(eta, ETA_CLIP))
-            w = mu
-        else:
-            mu = expit(eta)
-            w = mu * (1 - mu)
-        w = np.maximum(w, 1e-8)
+        mu = fam.mean(eta)
+        w = np.maximum(fam.weight(mu), 1e-8)
         z = eta + (y - mu) / w
         sw = np.sqrt(w)
         b_new, *_ = np.linalg.lstsq(D * sw[:, None], z * sw, rcond=None)
@@ -614,19 +650,11 @@ def fit(
             break
 
     d, beta_raw, gamma = _unpack(spec, ev.from_eig(best_zeta), basis.dim)
-    norm = np.linalg.norm(beta_raw)
-    if norm == 0.0:
+    if np.linalg.norm(beta_raw) == 0.0:
         raise DegenerateIndexError("optimizer collapsed the index direction to zero")
     beta, E, phi0, _ = ev.at_index(beta_raw, gamma)
-    eta = phi0 @ d
-    if ev.outside:
-        eta = eta + data.A @ gamma
-    if spec.family == "gaussian_log":
-        mu = eta.copy()
-    elif spec.family == "poisson":
-        mu = np.exp(np.minimum(eta, ETA_CLIP))
-    else:
-        mu = expit(eta)
+    eta = phi0 @ d + data.A @ gamma if ev.outside else phi0 @ d
+    mu = ev.family.mean(eta)
 
     result = FitResult(
         lam=float(lam),

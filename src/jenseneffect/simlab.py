@@ -19,12 +19,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import InfeasibleScenarioError, NumericalError
-from .jensen import (
-    alternative_null_test,
-    default_direction,
-    jensen_test,
-    linear_logistic_reference,
-)
+from .jensen import alternative_null_test, jensen_test, linear_logistic_reference
 from .model import Dataset, ModelSpec, fit_path
 
 __all__ = [

@@ -15,6 +15,9 @@ from jenseneffect.basis import basis_matrix, eval_basis, make_spline_basis
 from jenseneffect.errors import DegenerateIndexError, NumericalOverflowError
 import jenseneffect.model as model_module
 from jenseneffect.model import (
+    ETA_CLIP,
+    FAMILIES,
+    FAMILY_TABLE,
     Coefficients,
     Dataset,
     ModelSpec,
@@ -83,6 +86,54 @@ def test_normalize_properties(vec):
     assert np.linalg.norm(b) == pytest.approx(1.0, abs=1e-10)
     assert b[np.nonzero(b)[0][0]] > 0
     np.testing.assert_allclose(normalize_index(b), b, atol=1e-12)
+
+
+# --- family table -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_family_table_derivatives_agree(family):
+    fam = FAMILY_TABLE[family]
+    rng = np.random.default_rng(3)
+    eta = rng.uniform(-3.0, 3.0, size=9)
+    y = {
+        "gaussian_log": rng.normal(size=9),
+        "poisson": rng.poisson(2.0, size=9).astype(float),
+        "bernoulli_logit": rng.binomial(1, 0.5, size=9).astype(float),
+    }[family]
+    h = 1e-5
+    # the loss is a sum over observations, so each observation's score is
+    # the derivative of its own one-element loss
+    def loss_i(i, step):
+        return fam.loss(eta[i : i + 1] + step, y[i : i + 1])[0]
+
+    fd_score = [(loss_i(i, h) - loss_i(i, -h)) / (2 * h) for i in range(eta.size)]
+    np.testing.assert_allclose(fam.loss(eta, y)[1], fd_score, rtol=1e-7, atol=1e-7)
+    fd_curv = (fam.loss(eta + h, y)[1] - fam.loss(eta - h, y)[1]) / (2 * h)
+    np.testing.assert_allclose(fam.curvature(eta), fd_curv, rtol=1e-7, atol=1e-7)
+    np.testing.assert_allclose(fam.h_prime(eta), (fam.h(eta + h) - fam.h(eta - h)) / (2 * h), rtol=1e-7)
+    # The losses are unhalved: squared error has curvature 2 = 2 * weight,
+    # the negative log-likelihoods curvature = weight. The Hessian of
+    # loss + lambda d'Pd in d is Phi' diag(curvature) Phi + 2 lambda P, i.e.
+    # s (Phi' W Phi + (2 / s) lambda P). inference._fit_system's bracket
+    # Phi' W Phi + lambda P is therefore right for gaussian_log (s = 2) and
+    # short of 2 lambda P for poisson and logit (s = 1): ROADMAP item 3.
+    s = 2.0 if family == "gaussian_log" else 1.0
+    np.testing.assert_array_equal(fam.curvature(eta), s * fam.weight(fam.mean(eta)))
+
+
+def test_family_table_clips():
+    pois, gauss = FAMILY_TABLE["poisson"], FAMILY_TABLE["gaussian_log"]
+    far = np.array([-705.0, 705.0])
+    # the fitter's mean caps eta from above only; the Jensen transform clips
+    # both sides
+    np.testing.assert_array_equal(pois.mean(far), np.exp([-705.0, ETA_CLIP]))
+    np.testing.assert_array_equal(gauss.h_prime(far), np.exp([-ETA_CLIP, ETA_CLIP]))
+    # beyond the cap the poisson score is flat but the curvature is not
+    _, score = pois.loss(far, np.array([1.0, 1.0]))
+    assert score[1] == -1.0 and pois.curvature(far)[1] == np.exp(ETA_CLIP)
+    with pytest.warns(RuntimeWarning, match="clipped"):
+        gauss.h(far)
 
 
 # --- objective --------------------------------------------------------------
