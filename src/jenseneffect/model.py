@@ -72,6 +72,7 @@ class Family:
     dispersion: bool  # carries a residual variance, sigma2
     response: Callable  # y -> what the link models
     invalid: Callable  # y -> why the family cannot take y, or None
+    eta_cap: float = np.inf  # the loss is the family's own only below this eta
 
 
 def _gaussian_loss(eta, y):
@@ -129,6 +130,7 @@ FAMILY_TABLE = {
         direction="test_negative", paired=False, dispersion=False,
         response=lambda y: y,
         invalid=lambda y: "poisson responses must be nonnegative" if np.any(y < 0) else None,
+        eta_cap=ETA_CLIP,
     ),
     "bernoulli_logit": Family(
         loss=lambda eta, y: (float(np.sum(np.logaddexp(0.0, eta) - y * eta)), expit(eta) - y),
@@ -467,8 +469,10 @@ def objective(spec: ModelSpec, data: Dataset, coeffs: Coefficients, lam: float) 
     """Penalized loss: squared error (gaussian_log) or negative log-likelihood
     (poisson, bernoulli_logit), plus lambda * d'Pd.
 
-    Raises NumericalOverflowError naming the first offending observation when
-    the unclipped loss is not finite.
+    The loss is the family table's, as in `gradient` and the fitter. Raises
+    NumericalOverflowError naming an offending observation where eta reaches
+    the family's cap (poisson's ETA_CLIP, beyond which the table caps the
+    exponential) or the loss is not finite.
     """
     ev, theta = _evaluator(spec, data, coeffs, lam)
     d, beta_raw, gamma = _unpack(spec, theta, ev.basis.dim)
@@ -476,20 +480,20 @@ def objective(spec: ModelSpec, data: Dataset, coeffs: Coefficients, lam: float) 
         raise DegenerateIndexError("index coefficients are identically zero")
     phi0 = ev.at_index(beta_raw, gamma)[2]
     eta = phi0 @ d + data.A @ gamma if ev.outside else phi0 @ d
-    y = ev.yresp
-    if spec.family == "gaussian_log":
-        terms = (y - eta) ** 2
-    elif spec.family == "poisson":
-        with np.errstate(over="ignore"):
-            terms = np.exp(eta) - y * eta
-    else:
-        terms = np.logaddexp(0.0, eta) - y * eta
-    if not np.all(np.isfinite(terms)):
-        bad = int(np.argmax(~np.isfinite(terms)))
+    # at or beyond the cap the table's loss is no longer the family's
+    past = ~(eta < ev.family.eta_cap)
+    if np.any(past):
+        bad = int(np.argmax(past))
         raise NumericalOverflowError(
-            f"objective is not finite at observation {bad} (eta={eta[bad]:.6g})"
+            f"objective overflows at observation {bad} (eta={eta[bad]:.6g})"
         )
-    return float(np.sum(terms)) + lam * float(d @ ev.P @ d)
+    loss, _ = ev.family.loss(eta, ev.yresp)
+    if not np.isfinite(loss):
+        bad = int(np.argmax(np.abs(eta)))
+        raise NumericalOverflowError(
+            f"objective is not finite; the largest |eta| is at observation {bad} (eta={eta[bad]:.6g})"
+        )
+    return loss + lam * float(d @ ev.P @ d)
 
 
 def gradient(spec: ModelSpec, data: Dataset, coeffs: Coefficients, lam: float) -> np.ndarray:

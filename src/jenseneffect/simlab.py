@@ -36,6 +36,9 @@ __all__ = [
 
 POWER_CSV_HEADER = "scenario,n,param,rejection_rate,true_delta,replicates"
 
+# rows of covariates true_delta draws at a time (8192 x 5 doubles = 320 kB)
+TRUE_DELTA_BLOCK = 8192
+
 
 def _logistic_plateau(s, a):
     return 30.0 / (1.0 + np.exp(-s / a)) - 15.0
@@ -244,14 +247,30 @@ def gen_dataset(config: ScenarioConfig, replicate: int) -> tuple[np.ndarray, np.
 
 
 def true_delta(config: ScenarioConfig, n_draw: int = 200_000) -> float:
-    """Jensen effect of the composite curve under a fresh covariate draw."""
+    """Jensen effect of the composite curve under a fresh covariate draw.
+
+    The n_draw x p covariates are drawn TRUE_DELTA_BLOCK rows at a time into
+    one index vector, which is then mapped to the curve's means in place, so
+    the working set is 8 * n_draw bytes plus one block. Every row, and each
+    full-vector mean, is what one n_draw x p draw would give.
+    """
+    if n_draw < 1:
+        raise ValueError(f"n_draw must be at least 1, got {n_draw}")
     rng = np.random.default_rng([config.seed, 340282366])
     lo, hi = config.range_
-    X = rng.uniform(lo, hi, size=(n_draw, config.p))
-    s = X @ config.beta_
-    means = _curve_values(config, s)
-    center = _curve_values(config, np.array([np.mean(s)]))[0]
-    return float(np.mean(means) - center)
+    beta = config.beta_
+    s = np.empty(n_draw)
+    for start in range(0, n_draw, TRUE_DELTA_BLOCK):
+        block = s[start:start + TRUE_DELTA_BLOCK]
+        block[:] = rng.uniform(lo, hi, size=(block.size, config.p)) @ beta
+    s_mean = np.mean(s)
+    # feasibility is checked in sample order, before the center, so an
+    # infeasible scenario names the same sample as a one-shot draw would
+    for start in range(0, n_draw, TRUE_DELTA_BLOCK):
+        block = s[start:start + TRUE_DELTA_BLOCK]
+        block[:] = _curve_values(config, block)
+    center = _curve_values(config, np.array([s_mean]))[0]
+    return float(np.mean(s) - center)
 
 
 def _test_seed(config: ScenarioConfig, replicate: int) -> int:

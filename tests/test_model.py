@@ -198,6 +198,19 @@ def test_objective_overflow_names_observation(rng):
         objective(spec, data, huge, 0.0)
 
 
+def test_objective_raises_where_the_poisson_cap_is_active():
+    # eta = 705 lies past ETA_CLIP, where the table's loss (and so the
+    # gradient, which stays finite here) caps the exponential; the objective
+    # must not return the uncapped 1.5e307 there
+    basis = make_spline_basis(0.0, 1.0, dim=8, degree=5)
+    spec = ModelSpec(family="poisson", p=1, basis=basis)
+    data = Dataset(y=np.ones(10), X=np.linspace(0.05, 0.95, 10)[:, None])
+    coeffs = Coefficients(beta=np.array([1.0]), gamma=np.zeros(0), d=np.full(8, 705.0))
+    assert np.all(np.isfinite(gradient(spec, data, coeffs, 0.0)))
+    with pytest.raises(NumericalOverflowError, match="observation 0 "):
+        objective(spec, data, coeffs, 0.0)
+
+
 def test_objective_rejects_negative_lambda(rng):
     spec, data, coeffs = small_instance("gaussian_log", rng)
     with pytest.raises(ValueError):

@@ -5,7 +5,9 @@ bit, and the harness against hand-counted outcomes with an injected
 failure.
 """
 
+import itertools
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -141,6 +143,57 @@ def test_true_delta_concavity_ordering():
     d2 = true_delta(ScenarioConfig(scenario="pois-logistic", n=100, param=2.0))
     d8 = true_delta(ScenarioConfig(scenario="pois-logistic", n=100, param=8.0))
     assert d8 < d2 < 0
+
+
+def one_shot_true_delta(config, n_draw=200_000):
+    """Reference: the whole n_draw x p covariate draw in one array."""
+    rng = np.random.default_rng([config.seed, 340282366])
+    lo, hi = config.range_
+    X = rng.uniform(lo, hi, size=(n_draw, config.p))
+    s = X @ config.beta_
+    means = simlab._curve_values(config, s)
+    center = simlab._curve_values(config, np.array([np.mean(s)]))[0]
+    return float(np.mean(means) - center)
+
+
+@pytest.mark.parametrize("scenario", sorted(CATALOG))
+def test_true_delta_matches_one_shot_draw(scenario):
+    # n_draw = 12 345 ends on a partial block; 200 000 is the default
+    scales = (1.0, 2.0, 0.5)
+    cells = itertools.product((1, 5, 7), (1, 12_345, 200_000))
+    for k, (p, n_draw) in enumerate(cells):
+        param = scales[k % 3] * CATALOG[scenario].default_param
+        cfg = ScenarioConfig(scenario=scenario, n=100, p=p, seed=k, param=param)
+        assert true_delta(cfg, n_draw) == one_shot_true_delta(cfg, n_draw), (p, n_draw, seed)
+
+
+def test_true_delta_infeasible_names_the_same_sample():
+    # the first negative index is sample 23 987, in the third block
+    cfg = ScenarioConfig(scenario="pois-linear", n=100, p=1, seed=12, covariate_range=(-0.0002, 20.0))
+    with pytest.raises(InfeasibleScenarioError) as expected:
+        one_shot_true_delta(cfg, 50_000)
+    with pytest.raises(InfeasibleScenarioError) as got:
+        true_delta(cfg, 50_000)
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("n_draw", [0, -3])
+def test_true_delta_rejects_empty_draw(n_draw):
+    with pytest.raises(ValueError, match="n_draw"):
+        true_delta(ScenarioConfig(scenario="gauss-sqrt", n=100), n_draw)
+
+
+def test_true_delta_memory_is_one_vector_plus_one_block():
+    # 8 * 200 000 bytes for the index vector plus one 8192 x 5 block; the
+    # one-shot draw peaks at ~12.8 MB
+    cfg = ScenarioConfig(scenario="pois-logistic", n=300, param=8.0)
+    tracemalloc.start()
+    try:
+        true_delta(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3e6
 
 
 # --- harness -------------------------------------------------------------------------
