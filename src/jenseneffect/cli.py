@@ -403,7 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=1,
-        help="accepted and checked (>= 1); replicates run one after another whatever its value",
+        help="worker processes for the replicates, the calling one included, capped at the "
+        "usable CPUs; the table is identical for any value",
     )
     pp.add_argument("--out", default="power.csv")
     pp.set_defaults(func=cmd_power)

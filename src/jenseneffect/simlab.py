@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 import warnings as _warnings
 from dataclasses import dataclass
 
@@ -293,6 +294,41 @@ def _run_replicate(config: ScenarioConfig, replicate: int, alpha: float, n_sims:
     return bool(res.reject)
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _run_jobs(jobs, alpha: float, n_sims: int) -> list:
+    """Run (config, replicate) jobs in order. Per job: the outcome, either
+    (True, reject) or (False, failure text), and the warnings it raised as
+    (category, text, filename, lineno), recorded under the current filters."""
+    results = []
+    for config, r in jobs:
+        with _warnings.catch_warnings(record=True) as caught:
+            try:
+                outcome = (True, _run_replicate(config, r, alpha, n_sims))
+            except (NumericalError, ValueError) as exc:
+                outcome = (False, str(exc))
+        raised = [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+        results.append((outcome, raised))
+    return results
+
+
+def _child(conn, jobs, alpha: float, n_sims: int) -> None:
+    """Body of a forked worker: send (True, results) or (False, exception).
+    If even the exception does not pickle, the worker exits without sending
+    and the caller reports its exit code."""
+    try:
+        conn.send((True, _run_jobs(jobs, alpha, n_sims)))
+    except Exception as exc:
+        conn.send((False, exc))
+    finally:
+        conn.close()
+
+
 def power_study(
     configs: list[ScenarioConfig],
     alpha: float = 0.05,
@@ -301,24 +337,72 @@ def power_study(
 ) -> PowerTable:
     """Run every configured cell and tabulate rejection frequencies.
 
-    Replicates run one after another on the calling thread and are seeded
-    individually; `threads` is validated but does not change the table or
-    how it is computed. Failed replicates are recorded on the row (and
+    The cells' replicates, listed in order as jobs, are dealt round-robin to
+    W = min(threads, jobs, usable CPUs) workers: the calling process runs
+    jobs 0, W, 2W, ... and W - 1 forked children run the rest, each sending
+    its outcomes and warnings back over a pipe. Replicates are seeded
+    individually and rows are built in replicate order, so the table, the
+    failures and the re-issued warnings do not depend on W. Where fork is
+    unavailable W is 1. Failed replicates are recorded on the row (and
     warned about), never silently dropped.
     """
     if not 0.0 < alpha <= 0.5:
         raise ValueError("alpha must lie in (0, 0.5]")
     if threads < 1:
         raise ValueError("threads must be positive")
+    # imported here, so that fitting alone does not load multiprocessing
+    import multiprocessing
+
+    jobs = [(config, r) for config in configs for r in range(config.n_replicates)]
+    workers = min(threads, len(jobs), _usable_cpus())
+    if "fork" not in multiprocessing.get_all_start_methods():
+        workers = 1  # the caller runs every job
+    fork = multiprocessing.get_context("fork") if workers > 1 else None
+    results = [None] * len(jobs)
+    children = []
+    try:
+        for w in range(1, workers):
+            recv_end, send_end = fork.Pipe(duplex=False)
+            proc = fork.Process(target=_child, args=(send_end, jobs[w::workers], alpha, n_sims))
+            proc.start()
+            send_end.close()
+            children.append((proc, recv_end))
+        results[0::workers] = _run_jobs(jobs[0::workers], alpha, n_sims)
+        for w, (proc, conn) in enumerate(children, start=1):
+            try:
+                ok, payload = conn.recv()
+            except EOFError:
+                proc.join()
+                raise RuntimeError(
+                    f"power worker {w} exited with code {proc.exitcode} before "
+                    "sending its results"
+                ) from None
+            if not ok:
+                raise payload
+            results[w::workers] = payload
+    except BaseException:
+        for proc, _ in children:
+            proc.terminate()
+        raise
+    finally:
+        for proc, conn in children:
+            conn.close()
+            proc.join()
+
+    registry: dict = {}  # a "default" filter shows each (text, category, line) once per call
     rows = []
+    start = 0
     for config in configs:
         outcomes: list[bool] = []
         failures: list[str] = []
-        for r in range(config.n_replicates):
-            try:
-                outcomes.append(_run_replicate(config, r, alpha, n_sims))
-            except (NumericalError, ValueError) as exc:
-                failures.append(str(exc))
+        for (ok, value), raised in results[start:start + config.n_replicates]:
+            for category, text, filename, lineno in raised:
+                _warnings.warn_explicit(text, category, filename, lineno, registry=registry)
+            if ok:
+                outcomes.append(value)
+            else:
+                failures.append(value)
+        start += config.n_replicates
         if failures:
             _warnings.warn(
                 f"scenario {config.scenario!r}: {len(failures)} of "

@@ -6,8 +6,10 @@ failure.
 """
 
 import itertools
-import threading
+import multiprocessing
+import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -230,18 +232,106 @@ def test_power_study_thread_count_invariant(tiny_table):
     assert threaded.to_csv() == table.to_csv()
 
 
-def test_power_study_runs_replicates_on_the_calling_thread(monkeypatch):
-    real = simlab.fit_path
-    idents = []
+def _record_pids(monkeypatch, tmp_path, fail=None):
+    """Patch `_run_replicate` (forked workers inherit the patch) to log
+    (replicate, pid) lines to a file, raising `fail(replicate)` where it is
+    not None. Returns a reader of the logged pairs."""
+    real = simlab._run_replicate
+    log = tmp_path / "pids.txt"
 
-    def recording(spec, data):
-        idents.append(threading.get_ident())
-        return real(spec, data)
+    def recording(config, replicate, alpha, n_sims):
+        with open(log, "a") as fh:
+            fh.write(f"{replicate} {os.getpid()}\n")
+        exc = fail(replicate) if fail else None
+        if exc is not None:
+            raise exc
+        return real(config, replicate, alpha, n_sims)
 
-    monkeypatch.setattr(simlab, "fit_path", recording)
+    monkeypatch.setattr(simlab, "_run_replicate", recording)
+
+    def read():
+        pairs = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+        log.unlink()
+        return pairs
+
+    return read
+
+
+def test_power_study_deals_replicates_to_forked_workers(monkeypatch, tmp_path):
+    monkeypatch.setattr(simlab, "_usable_cpus", lambda: 2)
+    read = _record_pids(monkeypatch, tmp_path)
     cfg = ScenarioConfig(scenario="gauss-sqrt", n=150, n_replicates=3, seed=5)
-    power_study([cfg], alpha=0.05, threads=3)
-    assert idents == [threading.get_ident()] * 3
+    serial = power_study([cfg], alpha=0.05, threads=1)
+    assert sorted(read()) == [(r, os.getpid()) for r in range(3)]
+
+    forked = power_study([cfg], alpha=0.05, threads=2)
+    pairs = read()
+    assert sorted(r for r, _ in pairs) == [0, 1, 2]
+    pid = dict(pairs)
+    assert pid[0] == pid[2] == os.getpid() != pid[1]
+    assert forked.to_csv() == serial.to_csv()
+    assert multiprocessing.active_children() == []
+
+
+def test_power_study_caps_workers_at_usable_cpus(monkeypatch, tmp_path):
+    monkeypatch.setattr(simlab, "_usable_cpus", lambda: 2)
+    read = _record_pids(monkeypatch, tmp_path)
+    cfg = ScenarioConfig(scenario="gauss-sqrt", n=150, n_replicates=3, seed=5)
+    power_study([cfg], alpha=0.05, threads=64)
+    pairs = read()
+    assert sorted(r for r, _ in pairs) == [0, 1, 2]
+    assert len({pid for _, pid in pairs}) == 2
+
+
+def test_power_study_failures_match_across_worker_counts(monkeypatch, tmp_path):
+    monkeypatch.setattr(simlab, "_usable_cpus", lambda: 2)
+    read = _record_pids(
+        monkeypatch, tmp_path,
+        fail=lambda r: simlab.NumericalError(f"injected at {r}") if r in (1, 2) else None,
+    )
+    cfg = ScenarioConfig(scenario="gauss-sqrt", n=150, n_replicates=4, seed=77)
+    rows = []
+    for threads in (1, 2):
+        with pytest.warns(RuntimeWarning, match="2 of 4 replicates failed") as record:
+            rows.append(power_study([cfg], alpha=0.05, threads=threads).rows[0])
+        assert [str(w.message) for w in record] == [
+            "scenario 'gauss-sqrt': 2 of 4 replicates failed"
+        ]
+        assert len({pid for _, pid in read()}) == threads
+        assert multiprocessing.active_children() == []
+    assert rows[0].failures == rows[1].failures == ("injected at 1", "injected at 2")
+    assert rows[0] == rows[1]
+
+
+def test_power_study_reraises_a_worker_error(monkeypatch, tmp_path):
+    monkeypatch.setattr(simlab, "_usable_cpus", lambda: 2)
+    read = _record_pids(
+        monkeypatch, tmp_path, fail=lambda r: RuntimeError("boom in 1") if r == 1 else None
+    )
+    cfg = ScenarioConfig(scenario="gauss-sqrt", n=150, n_replicates=3, seed=5)
+    with pytest.raises(RuntimeError, match="boom in 1"):
+        power_study([cfg], alpha=0.05, threads=2)
+    assert any(r == 1 and pid != os.getpid() for r, pid in read())
+    assert multiprocessing.active_children() == []
+
+
+def test_power_study_reissues_a_worker_warning(monkeypatch, tmp_path):
+    monkeypatch.setattr(simlab, "_usable_cpus", lambda: 2)
+    real = simlab._run_replicate
+
+    def warning(config, replicate, alpha, n_sims):
+        if replicate == 1:
+            warnings.warn(f"note from pid {os.getpid()}", UserWarning)
+        return real(config, replicate, alpha, n_sims)
+
+    monkeypatch.setattr(simlab, "_run_replicate", warning)
+    cfg = ScenarioConfig(scenario="gauss-sqrt", n=150, n_replicates=3, seed=5)
+    with pytest.warns(UserWarning, match="note from pid") as record:
+        power_study([cfg], alpha=0.05, threads=2)
+    assert len(record) == 1
+    assert int(str(record[0].message).split()[-1]) != os.getpid()
+    assert record[0].filename == __file__
+    assert multiprocessing.active_children() == []
 
 
 def test_power_study_alpha_guard():
