@@ -186,9 +186,7 @@ def _parse_lambda_grid(text: str | None) -> tuple[float, ...]:
         raise ValueError("lambda grid must look like LO:HI:COUNT with numeric parts") from None
     if not (lo > 0 and hi >= lo and count >= 1):
         raise ValueError("lambda grid needs 0 < LO <= HI and COUNT >= 1")
-    if count == 1:
-        return (lo,)
-    return tuple(float(v) for v in np.geomspace(lo, hi, count))
+    return default_lambda_grid(lo, hi, count)
 
 
 def _fmt(v: float) -> str:
@@ -339,6 +337,8 @@ def cmd_power(args) -> int:
     params = _parse_list(args.param, float, "--param") if args.param else [None]
     if not ns:
         raise ValueError("--n must name at least one sample size")
+    if not params:
+        raise ValueError("--param must name at least one value")
     configs = [
         ScenarioConfig(
             scenario=args.scenario,

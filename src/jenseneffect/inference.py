@@ -91,37 +91,28 @@ def _solve_spd(M: np.ndarray, B: np.ndarray, context: str) -> np.ndarray:
         return scipy.linalg.solve(Mj, B, assume_a="sym")
 
 
-def _fit_system(fit: FitResult) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Phi, w, M^-1) for one fit, with M = Phi' W Phi + lambda P the bracket."""
+def _fit_system(fit: FitResult) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(Phi, w, Phi' W Phi, M^-1) for one fit, with M = Phi' W Phi + lambda P
+    the bracket."""
     phi = _design(fit)
     w = fit_weights(fit)
-    M = phi.T @ (phi * w[:, None]) + fit.lam * penalty_matrix(fit.basis).entries
-    return phi, w, _solve_spd(M, np.eye(M.shape[0]), "the penalized bracket")
+    gram = phi.T @ (phi * w[:, None])
+    M = gram + fit.lam * penalty_matrix(fit.basis).entries
+    return phi, w, gram, _solve_spd(M, np.eye(M.shape[0]), "the penalized bracket")
 
 
 def smoother_matrix(fit: FitResult) -> np.ndarray:
     """The n x n linear map from working response to fitted link values."""
-    phi, w, V = _fit_system(fit)
+    phi, w, _, V = _fit_system(fit)
     return phi @ (V @ (phi.T * w[None, :]))
-
-
-def _trace_terms(fit: FitResult) -> tuple[float, float, np.ndarray]:
-    """(tr S, tr SS', w) without forming any n x n matrix."""
-    phi, w, V = _fit_system(fit)
-    WPhi = phi * w[:, None]
-    A = phi.T @ WPhi
-    tr_s = float(np.trace(V @ A))
-    C = WPhi.T @ WPhi  # Phi' W^2 Phi
-    D = phi.T @ phi
-    tr_ss = float(np.trace(V @ C @ V @ D))
-    return tr_s, tr_ss, w
 
 
 def gcv(fit: FitResult) -> float:
     """Generalized cross-validation score n ||sqrt(W)(z - Phi d)||^2 / (n - tr S)^2
     with the IRLS working response z = g(E) + W^{-1}(y - mu); for the
     gaussian family this is the classical n RSS / (n - tr S)^2."""
-    tr_s, _, w = _trace_terms(fit)
+    _, w, gram, V = _fit_system(fit)
+    tr_s = float(np.trace(V @ gram))
     n = fit.eta.size
     if tr_s >= n:
         raise DegreesOfFreedomError(
@@ -134,8 +125,13 @@ def gcv(fit: FitResult) -> float:
 
 
 def effective_df(fit: FitResult) -> tuple[float, float]:
-    """(tr S, tr SS') for the fit."""
-    tr_s, tr_ss, _ = _trace_terms(fit)
+    """(tr S, tr SS') for the fit, without forming any n x n matrix."""
+    phi, w, gram, V = _fit_system(fit)
+    tr_s = float(np.trace(V @ gram))
+    WPhi = phi * w[:, None]
+    C = WPhi.T @ WPhi  # Phi' W^2 Phi
+    D = phi.T @ phi
+    tr_ss = float(np.trace(V @ C @ V @ D))
     return tr_s, tr_ss
 
 
@@ -233,7 +229,7 @@ def coef_cov(path: LambdaPath, i: int, j: int) -> CoefCovariance:
         raise IndexError("lambda grid index out of range")
     _check_same_frame(path, i, j)
     s = _noise_scale(path)
-    phi_i, _, Vi = _fit_system(path.fits[i])
-    phi_j, _, Vj = _fit_system(path.fits[j])
+    phi_i, _, _, Vi = _fit_system(path.fits[i])
+    phi_j, _, _, Vj = _fit_system(path.fits[j])
     mat = s * (Vi @ (phi_i.T @ (phi_j * path.weight_ref[:, None])) @ Vj)
     return CoefCovariance(lambda_i=path.grid[i], lambda_j=path.grid[j], matrix=mat)

@@ -19,8 +19,6 @@ import warnings as _warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
-
 import scipy.linalg
 
 from .basis import basis_matrix
@@ -32,7 +30,7 @@ from .errors import (
 )
 from .inference import LambdaPath, _fit_system, _noise_scale
 from .inference import coef_cov  # noqa: F401  perfbench/tracing.py wraps jensen.coef_cov by name
-from .model import FAMILY_TABLE, Dataset, FitResult, ModelSpec
+from .model import FAMILY_TABLE, Dataset, FitResult, ModelSpec, _irls
 
 __all__ = [
     "EvalSet",
@@ -203,7 +201,7 @@ def _influence_row(fit: FitResult, ev: EvalSet) -> np.ndarray:
     """g = Phi M^-1 c = d(delta_hat) / d(W z) for one fit: the sensitivity c
     of delta_hat to the spline coefficients carried into observation space
     through d_hat = M^-1 Phi' W z."""
-    phi, _, V = _fit_system(fit)
+    phi, _, _, V = _fit_system(fit)
     return phi @ (V @ _sensitivity(ev, fit.coeffs.d))
 
 
@@ -375,28 +373,6 @@ def jensen_test(
 # --- linear-logistic reference ------------------------------------------------
 
 
-def _linear_logistic_irls(y: np.ndarray, D: np.ndarray) -> np.ndarray:
-    b = np.zeros(D.shape[1])
-    mean = min(max(float(np.mean(y)), 1e-12), 1 - 1e-12)
-    b[0] = np.log(mean / (1 - mean))
-    for _ in range(REFERENCE_MAX_ITER):
-        eta = D @ b
-        pi = expit(eta)
-        w = np.maximum(pi * (1 - pi), 1e-12)
-        z = eta + (y - pi) / w
-        sw = np.sqrt(w)
-        b_new, *_ = np.linalg.lstsq(D * sw[:, None], z * sw, rcond=None)
-        if not np.all(np.isfinite(b_new)):
-            raise SeparationError("logistic regression diverged (non-finite coefficients)")
-        if np.max(np.abs(b_new - b)) < 1e-10 * (1.0 + np.max(np.abs(b))):
-            return b_new
-        b = b_new
-    raise SeparationError(
-        f"logistic regression did not converge in {REFERENCE_MAX_ITER} iterations; "
-        "the data are (nearly) separated"
-    )
-
-
 def _reference_design(data: Dataset) -> np.ndarray:
     blocks = [np.ones((data.n, 1))]
     if data.A is not None:
@@ -420,16 +396,6 @@ def _reference_eval_design(data: Dataset) -> np.ndarray:
     return Dplus
 
 
-def _reference_influence_row(
-    D: np.ndarray, Dplus: np.ndarray, pi_plus: np.ndarray, fitted: np.ndarray
-) -> np.ndarray:
-    """d(delta_inf)/dy, through the weighted least-squares coefficient map
-    of the linear fit: D (D' W D)^-1 Dplus' (a * h'(Dplus coef))."""
-    b_inf = Dplus.T @ (_paired_weights(D.shape[0]) * pi_plus * (1.0 - pi_plus))
-    w_inf = fitted * (1.0 - fitted)
-    return D @ scipy.linalg.solve(D.T @ (D * w_inf[:, None]), b_inf, assume_a="sym")
-
-
 def linear_logistic_reference(data: Dataset, path: LambdaPath | None = None) -> LinearReference:
     """Fit an ordinary linear-logistic model and its Jensen functional.
 
@@ -437,23 +403,41 @@ def linear_logistic_reference(data: Dataset, path: LambdaPath | None = None) -> 
     and alternative_null_test combines it with any path fitted to the same
     data.
     """
-    if not np.all(np.isin(data.y, (0.0, 1.0))):
-        raise ValueError("linear logistic reference needs 0/1 responses")
+    fam = FAMILY_TABLE["bernoulli_logit"]
+    problem = fam.invalid(data.y)
+    if problem is not None:
+        raise ValueError(problem)
     D = _reference_design(data)
     if np.linalg.matrix_rank(D) < D.shape[1]:
         raise ValueError("reference design [1, A, X] is rank deficient")
-    coef = _linear_logistic_irls(data.y, D)
+    start = np.zeros(D.shape[1])
+    mean = min(max(float(np.mean(data.y)), 1e-12), 1 - 1e-12)
+    start[0] = np.log(mean / (1 - mean))
+    coef, converged = _irls("bernoulli_logit", data.y, D, start, 1e-12, REFERENCE_MAX_ITER)
+    if coef is None:
+        raise SeparationError("logistic regression diverged (non-finite coefficients)")
+    if not converged:
+        raise SeparationError(
+            f"logistic regression did not converge in {REFERENCE_MAX_ITER} iterations; "
+            "the data are (nearly) separated"
+        )
     q = 0 if data.A is None else data.A.shape[1]
-    fitted = expit(D @ coef)
+    fitted = fam.mean(D @ coef)
     Dplus = _reference_eval_design(data)
-    pi_plus = expit(Dplus @ coef)
+    g_plus = Dplus @ coef
+    pi_plus = fam.h(g_plus)
+    # d(delta_inf)/dy through the weighted least-squares coefficient map of
+    # the linear fit, D (D' W D)^-1 Dplus' (a * h'(Dplus coef)), with the
+    # contraction `_sensitivity` makes for a spline fit
+    sens = Dplus.T @ (_paired_weights(data.n) * fam.h_prime(g_plus))
+    DWD = D.T @ (D * fam.weight(fitted)[:, None])
     return LinearReference(
         intercept=float(coef[0]),
         beta_inf=coef[1 + q :].copy(),
         gamma_inf=coef[1 : 1 + q].copy(),
         fitted_pi=fitted,
         delta_inf=0.0 if np.ptp(pi_plus) == 0.0 else _paired_mean(pi_plus),
-        influence_row=_reference_influence_row(D, Dplus, pi_plus, fitted),
+        influence_row=D @ scipy.linalg.solve(DWD, sens, assume_a="sym"),
     )
 
 

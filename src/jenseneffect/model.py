@@ -356,6 +356,16 @@ class _Evaluator:
             self._index_key, self._index_state = key, (u, E, phi0, phi1)
         return self._index_state
 
+    def link_state(self, d: np.ndarray, beta_raw: np.ndarray, gamma: np.ndarray):
+        """(u, E, phi0, eta, g') at the point (d, beta_raw, gamma): `at_index`'s
+        direction, index values and basis values, the linear predictor, and
+        the link slope, zero wherever E is clamped to the basis domain, since
+        the index only moves eta through g where E is unclamped."""
+        u, E, phi0, phi1 = self.at_index(beta_raw, gamma)
+        eta = phi0 @ d + self.data.A @ gamma if self.outside else phi0 @ d
+        gprime = (phi1 @ d) * ((E >= self.basis.lo) & (E <= self.basis.hi))
+        return u, E, phi0, eta, gprime
+
     def _core(self, d, beta_raw, gamma):
         """Loss value and its gradient pieces, penalty excluded.
 
@@ -366,14 +376,11 @@ class _Evaluator:
         norm = np.linalg.norm(beta_raw)
         if norm < 1e-12 or not np.isfinite(norm):
             return None
-        u, E, phi0, phi1 = self.at_index(beta_raw, gamma)
-        in_domain = (E >= self.basis.lo) & (E <= self.basis.hi)
-        eta = phi0 @ d + data.A @ gamma if self.outside else phi0 @ d
+        u, _, phi0, eta, gprime = self.link_state(d, beta_raw, gamma)
 
         loss, v = self.family.loss(eta, self.yresp)
         grad_d = phi0.T @ v
-        # the index only moves eta through g where E is unclamped
-        w = v * (phi1 @ d) * in_domain
+        w = v * gprime
         grad_u = self.data.X.T @ w
         grad_beta = (grad_u - u * (u @ grad_u)) / norm
         if spec.q > 0:
@@ -422,9 +429,7 @@ class _Evaluator:
         c, beta_raw, gamma = _unpack(spec, zeta, self.basis.dim)
         d = self.U @ c
         norm = np.linalg.norm(beta_raw)
-        u, E, phi0, phi1 = self.at_index(beta_raw, gamma)
-        gprime = (phi1 @ d) * ((E >= self.basis.lo) & (E <= self.basis.hi))
-        eta = phi0 @ d + data.A @ gamma if self.outside else phi0 @ d
+        u, _, phi0, eta, gprime = self.link_state(d, beta_raw, gamma)
         q = self.family.curvature(eta)
         tangent = (np.eye(spec.p) - np.outer(u, u)) / norm
         blocks = [phi0 @ self.U, gprime[:, None] * (data.X @ tangent)]
@@ -478,8 +483,7 @@ def objective(spec: ModelSpec, data: Dataset, coeffs: Coefficients, lam: float) 
     d, beta_raw, gamma = _unpack(spec, theta, ev.basis.dim)
     if np.linalg.norm(beta_raw) == 0.0:
         raise DegenerateIndexError("index coefficients are identically zero")
-    phi0 = ev.at_index(beta_raw, gamma)[2]
-    eta = phi0 @ d + data.A @ gamma if ev.outside else phi0 @ d
+    eta = ev.link_state(d, beta_raw, gamma)[3]
     # at or beyond the cap the table's loss is no longer the family's
     past = ~(eta < ev.family.eta_cap)
     if np.any(past):
@@ -506,6 +510,30 @@ def gradient(spec: ModelSpec, data: Dataset, coeffs: Coefficients, lam: float) -
     return ev.from_eig(grad)
 
 
+def _irls(family: str, y: np.ndarray, D: np.ndarray, b: np.ndarray, floor: float, max_iter: int):
+    """Unpenalized GLM fit of y on the design D by IRLS from b, with the IRLS
+    weights floored at `floor`.
+
+    Returns (coefficients, converged): the iterate that met the step test
+    and True, the last iterate and False when max_iter steps did not meet
+    it, or None and False when a step went non-finite.
+    """
+    fam = FAMILY_TABLE[family]
+    for _ in range(max_iter):
+        eta = D @ b
+        mu = fam.mean(eta)
+        w = np.maximum(fam.weight(mu), floor)
+        z = eta + (y - mu) / w
+        sw = np.sqrt(w)
+        b_new, *_ = np.linalg.lstsq(D * sw[:, None], z * sw, rcond=None)
+        if not np.all(np.isfinite(b_new)):
+            return None, False
+        if np.max(np.abs(b_new - b)) < 1e-10 * (1 + np.max(np.abs(b))):
+            return b_new, True
+        b = b_new
+    return b, False
+
+
 def _irls_linear(family: str, y: np.ndarray, D: np.ndarray) -> np.ndarray:
     """Unpenalized GLM coefficients for initialization; falls back to a crude
     least-squares proxy if the iterations go non-finite."""
@@ -520,20 +548,8 @@ def _irls_linear(family: str, y: np.ndarray, D: np.ndarray) -> np.ndarray:
         fallback = np.linalg.lstsq(D, y - 0.5, rcond=None)[0]
         mean = min(max(mean, 1e-3), 1 - 1e-3)
         b[-1] = np.log(mean / (1 - mean))
-    fam = FAMILY_TABLE[family]
-    for _ in range(25):
-        eta = D @ b
-        mu = fam.mean(eta)
-        w = np.maximum(fam.weight(mu), 1e-8)
-        z = eta + (y - mu) / w
-        sw = np.sqrt(w)
-        b_new, *_ = np.linalg.lstsq(D * sw[:, None], z * sw, rcond=None)
-        if not np.all(np.isfinite(b_new)):
-            return fallback
-        if np.max(np.abs(b_new - b)) < 1e-10 * (1 + np.max(np.abs(b))):
-            return b_new
-        b = b_new
-    return b
+    b, _ = _irls(family, y, D, b, 1e-8, 25)
+    return fallback if b is None else b
 
 
 def _initial_coefficients(spec: ModelSpec, data: Dataset) -> tuple[Coefficients, SplineBasis]:
@@ -656,8 +672,7 @@ def fit(
     d, beta_raw, gamma = _unpack(spec, ev.from_eig(best_zeta), basis.dim)
     if np.linalg.norm(beta_raw) == 0.0:
         raise DegenerateIndexError("optimizer collapsed the index direction to zero")
-    beta, E, phi0, _ = ev.at_index(beta_raw, gamma)
-    eta = phi0 @ d + data.A @ gamma if ev.outside else phi0 @ d
+    beta, E, _, eta, _ = ev.link_state(d, beta_raw, gamma)
     mu = ev.family.mean(eta)
 
     result = FitResult(

@@ -354,6 +354,8 @@ def power_study(
     import multiprocessing
 
     jobs = [(config, r) for config in configs for r in range(config.n_replicates)]
+    if not jobs:
+        return PowerTable(rows=())
     workers = min(threads, len(jobs), _usable_cpus())
     if "fork" not in multiprocessing.get_all_start_methods():
         workers = 1  # the caller runs every job

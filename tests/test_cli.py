@@ -410,6 +410,14 @@ def test_power_bad_list_exit2(tmp_path, capsys):
     assert rc == 2
 
 
+def test_power_empty_param_list_exit2(tmp_path, capsys):
+    out = tmp_path / "p.csv"
+    argv = ["power", "--scenario", "gauss-sqrt", "--n", "100", "--param", ",", "--out", str(out)]
+    assert main(argv) == 2
+    assert "--param must name at least one value" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- console script ---------------------------------------------------------------
 
 REPO_ROOT = Path(__file__).resolve().parents[1]

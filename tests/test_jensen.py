@@ -610,6 +610,43 @@ def test_linear_reference_nonbinary_error():
         linear_logistic_reference(Dataset(y=np.full(10, 2.0), X=np.ones((10, 1))))
 
 
+def _logistic_delta(y, X, A):
+    """delta_inf of a linear-logistic fit of y on [1, A, X] by Newton's method
+    on the log-likelihood: a solve of its own, which takes y anywhere in
+    [0, 1], so that it can be differenced in y."""
+    blocks = [np.ones((y.size, 1))] + ([A] if A is not None else [])
+    D = np.hstack(blocks + [X])
+    Dbar = np.hstack(blocks + [np.broadcast_to(X.mean(axis=0), X.shape)])
+    b = np.zeros(D.shape[1])
+    for _ in range(100):
+        pi = expit(D @ b)
+        step = np.linalg.solve(D.T @ (D * (pi * (1.0 - pi))[:, None]), D.T @ (y - pi))
+        b += step
+        if np.max(np.abs(step)) < 1e-14:
+            break
+    return float(np.mean(expit(D @ b) - expit(Dbar @ b)))
+
+
+@pytest.mark.parametrize("q", [0, 1])
+def test_linear_reference_influence_row_matches_fd(q):
+    rng = np.random.default_rng(77)
+    n = 200
+    X = rng.uniform(size=(n, 2))
+    A = rng.normal(0.0, 0.5, size=(n, 1)) if q else None
+    eta = -0.3 + X @ np.array([1.5, 0.8]) + (0.7 * A[:, 0] if q else 0.0)
+    y = rng.binomial(1, expit(eta)).astype(float)
+    ref = linear_logistic_reference(Dataset(y=y, X=X, A=A))
+    assert _logistic_delta(y, X, A) == pytest.approx(ref.delta_inf, rel=1e-10)
+    scale = np.max(np.abs(ref.influence_row))
+    h = 1e-4
+    for i in (0, 17, 123, n - 1):
+        up, down = y.copy(), y.copy()
+        up[i] += h
+        down[i] -= h
+        fd = (_logistic_delta(up, X, A) - _logistic_delta(down, X, A)) / (2.0 * h)
+        assert abs(ref.influence_row[i] - fd) <= 1e-8 * scale, i
+
+
 # --- alternative-null comparison -----------------------------------------------------
 
 

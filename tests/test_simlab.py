@@ -340,6 +340,13 @@ def test_power_study_alpha_guard():
         power_study([cfg], alpha=0.9)
 
 
+def test_power_study_of_no_cells_is_an_empty_table():
+    table = power_study([], threads=2)
+    assert table.rows == ()
+    assert table.to_csv() == POWER_CSV_HEADER + "\n"
+    assert multiprocessing.active_children() == []
+
+
 def test_power_study_records_failures(monkeypatch):
     real = simlab.jensen_test
     calls = {"k": 0}
