@@ -33,7 +33,7 @@ print("\nGreville abscissae:")
 print(np.array2string(grev, precision=4))
 
 # the penalty matrix integrates products of second derivatives
-P = penalty_matrix(basis).entries
+P = penalty_matrix(basis)
 print(f"\npenalty matrix: shape {P.shape}, symmetric to "
       f"{np.abs(P - P.T).max():.2e}, min eigenvalue {np.linalg.eigvalsh(P).min():.2e}")
 

@@ -8,11 +8,9 @@ linear logistic model with alternative_null_test).
 
 from .basis import (
     FourierBasis,
-    PenaltyMatrix,
     SplineBasis,
     basis_for_index,
     basis_matrix,
-    eval_basis,
     fourier_design,
     greville_abscissae,
     make_spline_basis,
@@ -77,11 +75,9 @@ __all__ = [
     "__version__",
     # basis
     "FourierBasis",
-    "PenaltyMatrix",
     "SplineBasis",
     "basis_for_index",
     "basis_matrix",
-    "eval_basis",
     "fourier_design",
     "greville_abscissae",
     "make_spline_basis",

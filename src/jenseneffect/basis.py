@@ -27,12 +27,10 @@ import numpy as np
 
 __all__ = [
     "SplineBasis",
-    "PenaltyMatrix",
     "FourierBasis",
     "make_spline_basis",
     "basis_for_index",
     "basis_matrix",
-    "eval_basis",
     "greville_abscissae",
     "penalty_matrix",
     "penalty_eigh",
@@ -95,15 +93,6 @@ class SplineBasis:
         vector re-expresses the same link under a negated index.
         """
         return SplineBasis(self.degree, self.dim, tuple(-k for k in reversed(self.knots)))
-
-
-@dataclass(frozen=True, eq=False)
-class PenaltyMatrix:
-    """Gram matrix of second derivatives: entries[i, j] = integral of
-    phi_i'' * phi_j'' over the basis domain."""
-
-    entries: np.ndarray
-    basis: SplineBasis
 
 
 @dataclass(frozen=True)
@@ -255,11 +244,6 @@ def basis_matrices(basis: SplineBasis, s, derivs: tuple[int, ...]) -> list[np.nd
     return _design(basis, x, derivs)
 
 
-def eval_basis(basis: SplineBasis, s: float, deriv: int = 0) -> np.ndarray:
-    """Evaluate all basis functions at a single point; returns a dim-vector."""
-    return basis_matrix(basis, [s], deriv)[0]
-
-
 def greville_abscissae(basis: SplineBasis) -> np.ndarray:
     """Knot averages xi_j such that sum_j xi_j phi_j(s) = s on the domain.
 
@@ -274,14 +258,16 @@ def greville_abscissae(basis: SplineBasis) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _penalty_cached(basis: SplineBasis, nodes_per_span: int | None) -> np.ndarray:
+def penalty_matrix(basis: SplineBasis) -> np.ndarray:
+    """Second-derivative penalty matrix, read-only: entry (i, j) is the
+    integral of phi_i'' * phi_j'' over the domain, by Gauss-Legendre
+    quadrature per knot span with a node count exact for the integrand, a
+    piecewise polynomial of degree 2 (degree - 2). Cached per basis."""
+    if basis.degree < 2:
+        raise ValueError("second-derivative penalty needs degree >= 2")
     t = basis.knot_array
     k = basis.degree
-    if nodes_per_span is None:
-        # exact for the squared second derivative, a piecewise polynomial of
-        # degree 2 (degree - 2) on each span
-        nodes_per_span = math.ceil((2 * (k - 2) + 1) / 2)
-    nodes, weights = np.polynomial.legendre.leggauss(nodes_per_span)
+    nodes, weights = np.polynomial.legendre.leggauss(math.ceil((2 * (k - 2) + 1) / 2))
     pts = []
     wts = []
     for j in range(k, len(t) - k - 2 + 1):
@@ -300,21 +286,13 @@ def _penalty_cached(basis: SplineBasis, nodes_per_span: int | None) -> np.ndarra
     return entries
 
 
-def penalty_matrix(basis: SplineBasis, nodes_per_span: int | None = None) -> PenaltyMatrix:
-    """Second-derivative penalty matrix, by Gauss-Legendre quadrature per
-    knot span with an exact node count (override only for diagnostics)."""
-    if basis.degree < 2:
-        raise ValueError("second-derivative penalty needs degree >= 2")
-    return PenaltyMatrix(entries=_penalty_cached(basis, nodes_per_span), basis=basis)
-
-
 @functools.lru_cache(maxsize=64)
 def penalty_eigh(basis: SplineBasis) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition (eigenvalues, eigenvectors) of the penalty matrix,
     eigenvalues clipped at zero. In these coordinates the penalty quadratic
     form is diagonal, which evaluates free of the cancellation that plagues
     P @ d for near-affine coefficient vectors."""
-    w, V = np.linalg.eigh(_penalty_cached(basis, None))
+    w, V = np.linalg.eigh(penalty_matrix(basis))
     w = np.maximum(w, 0.0)
     w.flags.writeable = False
     V.flags.writeable = False

@@ -19,12 +19,7 @@ import numpy as np
 
 from .basis import FourierBasis, basis_matrix, fourier_design
 from .errors import NumericalError
-from .jensen import (
-    alternative_null_test,
-    default_direction,
-    jensen_test,
-    linear_logistic_reference,
-)
+from .jensen import alternative_null_test, jensen_test, linear_logistic_reference
 from .model import FAMILY_TABLE, Dataset, ModelSpec, default_lambda_grid, fit_path
 from .simlab import ScenarioConfig, power_study
 
@@ -278,7 +273,7 @@ def _sidecar_ghat(path) -> str:
 
 def cmd_jensen(args) -> int:
     family = FAMILY_FLAGS[args.family]
-    direction = DIRECTION_FLAGS[args.direction] if args.direction else default_direction(family)
+    direction = DIRECTION_FLAGS[args.direction] if args.direction else FAMILY_TABLE[family].direction
     if direction == "test_vs_linear_logistic" and family != "bernoulli_logit":
         raise ValueError(
             "the vs-linear comparison is defined only for the logit family "

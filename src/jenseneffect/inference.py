@@ -25,7 +25,6 @@ from .model import FAMILY_TABLE, Dataset, FitResult, ModelSpec
 
 __all__ = [
     "LambdaPath",
-    "CoefCovariance",
     "build_path",
     "fit_weights",
     "smoother_matrix",
@@ -54,15 +53,6 @@ class LambdaPath:
     @property
     def selected_fit(self) -> FitResult:
         return self.fits[self.selected]
-
-
-@dataclass(frozen=True, eq=False)
-class CoefCovariance:
-    """Cross-lambda covariance of the spline coefficient estimates."""
-
-    lambda_i: float
-    lambda_j: float
-    matrix: np.ndarray
 
 
 def fit_weights(fit: FitResult) -> np.ndarray:
@@ -97,7 +87,7 @@ def _fit_system(fit: FitResult) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     phi = _design(fit)
     w = fit_weights(fit)
     gram = phi.T @ (phi * w[:, None])
-    M = gram + fit.lam * penalty_matrix(fit.basis).entries
+    M = gram + fit.lam * penalty_matrix(fit.basis)
     return phi, w, gram, _solve_spd(M, np.eye(M.shape[0]), "the penalized bracket")
 
 
@@ -213,8 +203,8 @@ def _noise_scale(path: LambdaPath) -> float:
     return path.sigma2
 
 
-def coef_cov(path: LambdaPath, i: int, j: int) -> CoefCovariance:
-    """Covariance of (d_hat at grid[i], d_hat at grid[j]).
+def coef_cov(path: LambdaPath, i: int, j: int) -> np.ndarray:
+    """The K x K covariance of (d_hat at grid[i], d_hat at grid[j]).
 
     Each d_hat = M^-1 Phi' W z is linear in W z, whose covariance is
     s diag(w_ref) (see `_noise_scale`; w_ref are the weights at the
@@ -231,5 +221,4 @@ def coef_cov(path: LambdaPath, i: int, j: int) -> CoefCovariance:
     s = _noise_scale(path)
     phi_i, _, _, Vi = _fit_system(path.fits[i])
     phi_j, _, _, Vj = _fit_system(path.fits[j])
-    mat = s * (Vi @ (phi_i.T @ (phi_j * path.weight_ref[:, None])) @ Vj)
-    return CoefCovariance(lambda_i=path.grid[i], lambda_j=path.grid[j], matrix=mat)
+    return s * (Vi @ (phi_i.T @ (phi_j * path.weight_ref[:, None])) @ Vj)

@@ -314,10 +314,6 @@ def null_critical_value(
     return critical, p_value_fn
 
 
-def default_direction(family: str) -> str:
-    return FAMILY_TABLE[family].direction
-
-
 def _assemble_result(deltas, sigma, direction, alpha, n_sims, seed):
     with _warnings.catch_warnings(record=True) as caught:
         _warnings.simplefilter("always")
@@ -360,7 +356,7 @@ def jensen_test(
 ) -> JensenTestResult:
     """Sign test for the Jensen effect along the whole smoothing path."""
     if direction is None:
-        direction = default_direction(path.spec.family)
+        direction = FAMILY_TABLE[path.spec.family].direction
     if direction == "test_vs_linear_logistic":
         raise ValueError(
             "the linear-reference comparison is run through alternative_null_test"

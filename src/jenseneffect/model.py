@@ -323,7 +323,7 @@ class _Evaluator:
         self.data = data
         self.basis = basis
         self.lam = lam
-        self.P = penalty_matrix(basis).entries
+        self.P = penalty_matrix(basis)
         self.Lam, self.U = penalty_eigh(basis)
         self.family = FAMILY_TABLE[spec.family]
         self.yresp = self.family.response(data.y)
@@ -600,30 +600,24 @@ def _canonicalize(spec: ModelSpec, fitres: FitResult) -> FitResult:
     )
 
 
-def fit(
-    spec: ModelSpec,
-    data: Dataset,
-    lam: float,
-    init: Coefficients | None = None,
-    basis: SplineBasis | None = None,
-) -> FitResult:
+def fit(spec: ModelSpec, data: Dataset, lam: float, init: Coefficients | None = None) -> FitResult:
     """Minimize the penalized objective at one lambda by BFGS, run twice with
     the second run warm-started from the first (plus one more restart if the
-    convergence test still fails)."""
+    convergence test still fails).
+
+    Without `init` the fit starts from the best linear model, in spec.basis
+    or, when that is None, in a basis built around the starting index. An
+    `init` is read in spec.basis, the frame its d lives in, so it needs one.
+    """
     _validate(spec, data)
     if not (lam > 0 and np.isfinite(lam)):
         raise ValueError("lambda must be positive and finite")
     if init is None:
-        init, init_basis = _initial_coefficients(spec, data)
+        init, basis = _initial_coefficients(spec, data)
+    elif spec.basis is None:
+        raise ValueError("an initial point needs spec.basis, the frame its d lives in")
     else:
-        init_basis = None
-    basis = basis or spec.basis or init_basis
-    if basis is None:
-        basis = basis_for_index(
-            data.X @ normalize_index(init.beta),
-            dim=spec.basis_dim,
-            degree=spec.basis_degree,
-        )
+        basis = spec.basis
     if init.d.size != basis.dim or init.beta.size != spec.p or init.gamma.size != spec.q:
         raise ValueError("initial coefficient block sizes do not match the basis dim or spec.p, spec.q")
 
@@ -694,18 +688,19 @@ def fit(
     return _canonicalize(spec, result)
 
 
-def fit_path(spec: ModelSpec, data: Dataset, warm_starts: bool = True):
+def fit_path(spec: ModelSpec, data: Dataset):
     """Fit every lambda on the grid in ascending order, each warm-started
-    from its predecessor, and attach GCV selection. Returns a LambdaPath."""
+    from its predecessor in one shared basis (spec.basis, or one built
+    around the starting index), and attach GCV selection. Returns a
+    LambdaPath whose spec is the caller's."""
     _validate(spec, data)
-    init, basis = _initial_coefficients(spec, data)
+    carry, basis = _initial_coefficients(spec, data)
+    fit_spec = replace(spec, basis=basis)
     fits = []
-    carry = init
     for lam in spec.lambda_grid:
-        res = fit(spec, data, lam, init=carry, basis=basis)
+        res = fit(fit_spec, data, lam, init=carry)
         fits.append(res)
-        if warm_starts:
-            carry = res.raw_coeffs
+        carry = res.raw_coeffs
     from .inference import build_path  # deferred: inference sits above model
 
     return build_path(spec, data, fits)

@@ -77,7 +77,7 @@ def test_criterion_01_gaussian_suite():
     reps = 50
     names = ("gauss-exp", "gauss-sqrt", "gauss-sin", "gauss-linear")
     configs = [ScenarioConfig(s, n=1000, n_replicates=reps, seed=11) for s in names]
-    table = power_study(configs, alpha=0.05, n_sims=5000)
+    table = power_study(configs, alpha=0.05, n_sims=5000, threads=2)
     c = rejection_counts(table)
     counts = {s: c[(s, 0.01)] for s in names}
     clean = all_replicates_succeeded(table, reps)
@@ -104,7 +104,7 @@ def test_criterion_02_poisson_suite():
         ScenarioConfig(s, n=1000, n_replicates=reps, seed=12)
         for s in ("pois-exp", "pois-logistic", "pois-linear")
     ]
-    table = power_study(configs, alpha=0.05, n_sims=5000)
+    table = power_study(configs, alpha=0.05, n_sims=5000, threads=2)
     c = rejection_counts(table)
     counts = {
         "pois-exp": c[("pois-exp", 8.0)],
@@ -135,7 +135,7 @@ def test_criterion_03_power_peaks_at_intermediate_steepness():
         ScenarioConfig("pois-logistic", n=1000, param=a, n_replicates=reps, seed=13)
         for a in params
     ]
-    table = power_study(configs, alpha=0.05, n_sims=5000)
+    table = power_study(configs, alpha=0.05, n_sims=5000, threads=2)
     rates = {r.param: r.rejection_rate for r in table.rows}
     clean = all_replicates_succeeded(table, reps)
     ok = clean and rates[8.0] > rates[2.0] and rates[8.0] > rates[16.0]
@@ -156,7 +156,7 @@ def test_criterion_04_power_decreases_with_noise():
         ScenarioConfig("gauss-sqrt", n=500, param=s, n_replicates=reps, seed=14)
         for s in sigmas
     ]
-    table = power_study(configs, alpha=0.05, n_sims=5000)
+    table = power_study(configs, alpha=0.05, n_sims=5000, threads=2)
     rates = [next(r.rejection_rate for r in table.rows if r.param == s) for s in sigmas]
     clean = all_replicates_succeeded(table, reps)
     inversions = []
@@ -197,7 +197,7 @@ def test_criterion_05_logistic_size_under_both_nulls():
             direction="test_positive",
         ),
     ]
-    table = power_study(configs, alpha=alpha, n_sims=5000)
+    table = power_study(configs, alpha=alpha, n_sims=5000, threads=2)
     rate_ref = next(r.rejection_rate for r in table.rows if r.scenario == "logit-linear")
     rate_sign = next(r.rejection_rate for r in table.rows if r.scenario == "logit-convex")
     clean = all_replicates_succeeded(table, reps)

@@ -22,7 +22,6 @@ from jenseneffect.basis import (
     SplineBasis,
     basis_for_index,
     basis_matrix,
-    eval_basis,
     fourier_design,
     fourier_matrix,
     greville_abscissae,
@@ -102,7 +101,7 @@ def test_partition_of_unity_quintic():
 
 def test_single_point_eval_and_constant_curvature():
     basis = make_spline_basis(0.0, 0.5)
-    row = eval_basis(basis, 0.2)
+    row = basis_matrix(basis, [0.2])[0]
     assert row.shape == (25,)
     assert abs(row.sum() - 1.0) <= 1e-12
     # constant function: second derivative identically zero
@@ -210,9 +209,9 @@ def test_values_bit_identical_to_scipy_design_matrix():
 def test_eval_input_errors():
     basis = make_spline_basis(0.0, 1.0)
     with pytest.raises(ValueError):
-        eval_basis(basis, float("nan"))
+        basis_matrix(basis, [float("nan")])[0]
     with pytest.raises(ValueError):
-        eval_basis(basis, math.inf)
+        basis_matrix(basis, [math.inf])[0]
     with pytest.raises(ValueError):
         basis_matrix(basis, [0.5], deriv=6)
 
@@ -260,7 +259,7 @@ def test_basis_validation():
 )
 def test_property_unity_and_nonnegativity(s, dim):
     basis = make_spline_basis(0.0, 0.5, dim=dim, degree=5)
-    row = eval_basis(basis, s)
+    row = basis_matrix(basis, [s])[0]
     assert np.all(row >= 0)
     assert abs(row.sum() - 1.0) <= 1e-12
 
@@ -270,7 +269,7 @@ def test_property_unity_and_nonnegativity(s, dim):
 
 def test_penalty_symmetric_and_affine_nullspace():
     basis = make_spline_basis(0.0, 5.0)
-    P = penalty_matrix(basis).entries
+    P = penalty_matrix(basis)
     np.testing.assert_array_equal(P, P.T)
     xi = greville_abscissae(basis)
     for d in (np.ones(25), 2.0 - 3.0 * xi):
@@ -286,7 +285,7 @@ def test_penalty_affine_nullspace_narrow_domain():
     # of the quadratic form moves with the domain; on tight domains the null
     # space holds relative to the matrix scale
     basis = make_spline_basis(0.0, 0.5)
-    P = penalty_matrix(basis).entries
+    P = penalty_matrix(basis)
     xi = greville_abscissae(basis)
     for d in (np.ones(25), 2.0 - 3.0 * xi):
         assert abs(d @ P @ d) <= 1e-12 * np.abs(P).max()
@@ -298,28 +297,35 @@ def test_penalty_cubic_closed_form():
     s = np.linspace(0.0, 1.0, 400)
     d, *_ = np.linalg.lstsq(basis_matrix(basis, s), s**3, rcond=None)
     assert np.max(np.abs(basis_matrix(basis, s) @ d - s**3)) <= 1e-10
-    P = penalty_matrix(basis).entries
+    P = penalty_matrix(basis)
     assert d @ P @ d == pytest.approx(12.0, abs=1e-8)
 
 
 def test_penalty_quadrature_node_count_is_exact():
     # the default node count already integrates the piecewise polynomial
-    # exactly: doubling nodes must not move the entries
+    # exactly: a 9-node Gauss-Legendre rule per knot span must not move the
+    # entries
     basis = make_spline_basis(0.0, 1.0, dim=12, degree=5)
-    P_default = penalty_matrix(basis).entries
-    P_dense = penalty_matrix(basis, nodes_per_span=9).entries
+    P_default = penalty_matrix(basis)
+    nodes, weights = np.polynomial.legendre.leggauss(9)
+    t = basis.knot_array
+    spans = [(a, b) for a, b in zip(t[:-1], t[1:]) if b > a]
+    pts = np.concatenate([0.5 * (b - a) * nodes + 0.5 * (a + b) for a, b in spans])
+    wts = np.concatenate([0.5 * (b - a) * weights for a, b in spans])
+    b2 = basis_matrix(basis, pts, 2)
+    P_dense = b2.T @ (b2 * wts[:, None])
     assert np.max(np.abs(P_default - P_dense)) <= 1e-13 * np.abs(P_default).max()
 
 
 def test_penalty_psd():
     basis = make_spline_basis(-1.0, 2.0, dim=18, degree=5)
-    evals = np.linalg.eigvalsh(penalty_matrix(basis).entries)
+    evals = np.linalg.eigvalsh(penalty_matrix(basis))
     assert evals.min() >= -1e-10
 
 
 def test_penalty_cached_per_basis():
     basis = make_spline_basis(0.0, 1.0)
-    assert penalty_matrix(basis).entries is penalty_matrix(basis).entries
+    assert penalty_matrix(basis) is penalty_matrix(basis)
 
 
 # --- Fourier ----------------------------------------------------------------

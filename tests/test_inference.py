@@ -147,7 +147,7 @@ def test_gcv_classical_reduction_matches_dense_oracle():
 def brute_force_gcv(f):
     phi = basis_matrix(f.basis, f.index_values)
     w = fit_weights(f)
-    P = penalty_matrix(f.basis).entries
+    P = penalty_matrix(f.basis)
     S = phi @ np.linalg.inv(phi.T @ np.diag(w) @ phi + f.lam * P) @ phi.T @ np.diag(w)
     n = f.eta.size
     pearson2 = (f.response - f.mu_or_pi) ** 2 / np.maximum(w, 1e-300)
@@ -252,7 +252,7 @@ def test_sigma2_recovers_known_noise_level():
 def test_coef_cov_symmetry_and_psd():
     for path in (gaussian_path(n=150)[0], poisson_path(n=200)[0]):
         i = path.selected
-        C = coef_cov(path, i, i).matrix
+        C = coef_cov(path, i, i)
         scale = max(np.abs(C).max(), 1e-30)
         assert np.max(np.abs(C - C.T)) <= 1e-8 * scale
         evals = np.linalg.eigvalsh(0.5 * (C + C.T))
@@ -262,8 +262,8 @@ def test_coef_cov_symmetry_and_psd():
 def test_coef_cov_transpose_identity():
     path, _ = gaussian_path(n=150)
     i, j = 3, 11
-    Cij = coef_cov(path, i, j).matrix
-    Cji = coef_cov(path, j, i).matrix
+    Cij = coef_cov(path, i, j)
+    Cji = coef_cov(path, j, i)
     scale = max(np.abs(Cij).max(), 1e-30)
     assert np.max(np.abs(Cij - Cji.T)) <= 1e-10 * scale
 
@@ -276,7 +276,7 @@ def test_delta_cov_matches_pairwise_coef_cov_oracle():
         sens = [_sensitivity(ev, f.coeffs.d) for ev, f in zip(evals, path.fits)]
         m = len(path.fits)
         oracle = np.array(
-            [[sens[i] @ coef_cov(path, i, j).matrix @ sens[j] for j in range(m)] for i in range(m)]
+            [[sens[i] @ coef_cov(path, i, j) @ sens[j] for j in range(m)] for i in range(m)]
         )
         sigma = delta_cov(path, evals)
         # the oracle is PSD up to rounding, so the projection only rounds
@@ -314,10 +314,10 @@ def test_coef_cov_invariant_under_frame_reflection():
     fits[1] = reflect_fit(fits[1], path.spec)
     mixed = dataclasses.replace(path, fits=tuple(fits))
     # reflection reverses the coefficient axis of fit 1 and nothing else
-    base = coef_cov(path, 0, 1).matrix
-    np.testing.assert_allclose(coef_cov(mixed, 0, 1).matrix, base[:, ::-1], rtol=1e-9, atol=1e-9 * np.abs(base).max())
-    own = coef_cov(path, 1, 1).matrix
-    np.testing.assert_allclose(coef_cov(mixed, 1, 1).matrix, own[::-1, ::-1], rtol=1e-9, atol=1e-9 * np.abs(own).max())
+    base = coef_cov(path, 0, 1)
+    np.testing.assert_allclose(coef_cov(mixed, 0, 1), base[:, ::-1], rtol=1e-9, atol=1e-9 * np.abs(base).max())
+    own = coef_cov(path, 1, 1)
+    np.testing.assert_allclose(coef_cov(mixed, 1, 1), own[::-1, ::-1], rtol=1e-9, atol=1e-9 * np.abs(own).max())
 
 
 def test_coef_cov_rejects_unrelated_bases():
@@ -344,14 +344,14 @@ def test_coef_cov_poisson_matches_parametric_bootstrap():
     k = pilot.selected
     lam = pilot.grid[k]
     basis = pilot.fits[k].basis
-    formula_var = np.diag(coef_cov(pilot, k, k).matrix)
+    formula_var = np.diag(coef_cov(pilot, k, k))
 
     spec = ModelSpec(family="poisson", p=p, basis=basis, lambda_grid=(lam,))
     draws = []
     for r in range(200):
         rep_rng = np.random.default_rng([2024, r + 1])
         y = rep_rng.poisson(mu_true).astype(float)
-        res = fit(spec, Dataset(y=y, X=X), lam=lam, basis=basis)
+        res = fit(spec, Dataset(y=y, X=X), lam=lam)
         assert res.basis == basis
         draws.append(res.coeffs.d)
     emp_var = np.var(np.asarray(draws), axis=0, ddof=1)

@@ -713,7 +713,7 @@ def test_alternative_null_family_guard():
         alternative_null_test(path, ref=None)
 
 
-def test_jensen_test_logit_default_direction(linear_logit_path):
+def test_jensen_test_logit_natural_direction(linear_logit_path):
     path, _ = linear_logit_path
     res = jensen_test(path, seed=2)
     assert res.direction == "test_positive"

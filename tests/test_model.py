@@ -5,13 +5,15 @@ closed forms; gradients against central finite differences of the public
 objective; the fitter against a noiseless known-truth design.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
-from jenseneffect.basis import basis_matrix, eval_basis, make_spline_basis
+from jenseneffect.basis import basis_matrix, make_spline_basis
 from jenseneffect.errors import DegenerateIndexError, NumericalOverflowError
 import jenseneffect.model as model_module
 from jenseneffect.model import (
@@ -175,7 +177,7 @@ def test_objective_matches_per_observation_loop(family, placement, q, rng):
         e_i = float(data.X[i] @ coeffs.beta)
         if q and placement == "inside_index":
             e_i += float(data.A[i] @ coeffs.gamma)
-        eta_i = float(eval_basis(spec.basis, e_i) @ coeffs.d)
+        eta_i = float(basis_matrix(spec.basis, [e_i])[0] @ coeffs.d)
         if q and placement == "outside_index":
             eta_i += float(data.A[i] @ coeffs.gamma)
         if family == "gaussian_log":
@@ -186,7 +188,7 @@ def test_objective_matches_per_observation_loop(family, placement, q, rng):
             total += np.logaddexp(0.0, eta_i) - data.y[i] * eta_i
     from jenseneffect.basis import penalty_matrix
 
-    total += lam * float(coeffs.d @ penalty_matrix(spec.basis).entries @ coeffs.d)
+    total += lam * float(coeffs.d @ penalty_matrix(spec.basis) @ coeffs.d)
     ours = objective(spec, data, coeffs, lam)
     assert ours == pytest.approx(total, rel=1e-12)
 
@@ -274,7 +276,7 @@ def test_gradient_dblock_is_penalty_at_zero_residuals():
 
     lam = 3.0
     g = gradient(spec, data, coeffs, lam)
-    expected = 2.0 * lam * penalty_matrix(spec.basis).entries @ coeffs.d
+    expected = 2.0 * lam * penalty_matrix(spec.basis) @ coeffs.d
     assert np.max(np.abs(g[:8] - expected)) <= 1e-8 * max(1.0, np.max(np.abs(expected)))
 
 
@@ -336,12 +338,13 @@ def test_gauss_newton_seed_falls_back_to_identity_when_the_hessian_overflows():
     spec = ModelSpec(family="poisson", p=X.shape[1])
     data = Dataset(y=y, X=X)
     init, basis = _initial_coefficients(spec, data)
+    spec = replace(spec, basis=basis)
     far = Coefficients(beta=init.beta, gamma=init.gamma, d=init.d + np.linspace(0.0, 1e6, basis.dim))
     ev = _Evaluator(spec, data, basis, 1.0)
     zeta = ev.to_eig(np.concatenate([far.d, far.beta, far.gamma]))
     with np.errstate(over="ignore", invalid="ignore"):
         seed = ev.gauss_newton_hess_inv(zeta)
-        res = fit(spec, data, 1.0, init=far, basis=basis)
+        res = fit(spec, data, 1.0, init=far)
     np.testing.assert_array_equal(seed, np.eye(zeta.size))
     assert np.isfinite(res.objective)
 
@@ -401,6 +404,19 @@ def test_fit_result_invariants(rng):
             assert np.all((res.mu_or_pi > 0) & (res.mu_or_pi < 1))
 
 
+def test_fit_from_an_initial_point_needs_its_basis():
+    # d means something only in the knot set it was fitted in: a basis
+    # rebuilt around the initial index would read it in another frame
+    data = path_data(n=120)
+    spec = ModelSpec(family="gaussian_log", p=5)
+    first = fit(spec, data, lam=1.0)
+    with pytest.raises(ValueError, match="spec.basis"):
+        fit(spec, data, 1.0, init=first.coeffs)
+    framed = replace(spec, basis=first.basis)
+    again = fit(framed, data, 1.0, init=first.coeffs)
+    assert again.run_objectives[0] == pytest.approx(first.objective, rel=1e-10)
+
+
 def test_fit_rejects_bad_lambda():
     data, _ = recovery_data(n=50)
     spec = ModelSpec(family="gaussian_log", p=5)
@@ -456,7 +472,7 @@ def test_fit_path_curvature_nonincreasing_in_lambda():
     path = fit_path(spec, data)
     pens = []
     for f in path.fits:
-        P = penalty_matrix(f.basis).entries
+        P = penalty_matrix(f.basis)
         pens.append(float(f.coeffs.d @ P @ f.coeffs.d))
     pens = np.array(pens)
     assert np.all(np.isfinite([f.objective for f in path.fits]))
@@ -474,18 +490,19 @@ def test_fit_path_top_lambda_is_nearly_linear():
     assert np.max(np.abs(g2)) <= 1e-3 * np.max(np.abs(g1))
 
 
-def test_warm_starts_match_cold_and_do_not_slow_down():
+def test_warm_started_path_matches_cold_fits_and_is_not_slower():
     import time
 
     data = path_data(n=300, sigma=0.05)
     spec = ModelSpec(family="gaussian_log", p=5)
     t0 = time.perf_counter()
-    warm = fit_path(spec, data, warm_starts=True)
+    warm = fit_path(spec, data)
     t_warm = time.perf_counter() - t0
     t0 = time.perf_counter()
-    cold = fit_path(spec, data, warm_starts=False)
+    # each cold fit starts from the linear start, in the basis built around it
+    cold = [fit(spec, data, lam) for lam in spec.lambda_grid]
     t_cold = time.perf_counter() - t0
-    for fw, fc in zip(warm.fits, cold.fits):
+    for fw, fc in zip(warm.fits, cold):
         assert fw.objective == pytest.approx(fc.objective, abs=1e-6 * (1 + abs(fc.objective)))
     assert t_warm < 2.0 * t_cold
 
