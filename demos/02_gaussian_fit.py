@@ -13,8 +13,8 @@ from jenseneffect import Dataset, ModelSpec, basis_matrix, fit_path
 rng = np.random.default_rng(7)
 n, p = 400, 4
 X = rng.uniform(0.0, 0.5, size=(n, p))
-beta_true = np.full(p, 1.0 / np.sqrt(p))
-s = X @ beta_true
+true_beta = np.full(p, 1.0 / np.sqrt(p))
+s = X @ true_beta
 y = np.sqrt(s) * np.exp(0.02 * rng.standard_normal(n))
 
 spec = ModelSpec(family="gaussian_log", p=p)
@@ -27,7 +27,7 @@ for lam, f, gcv in zip(path.grid, path.fits, path.gcv):
 
 best = path.fits[path.selected]
 print(f"\nestimated direction: {np.array2string(best.coeffs.beta, precision=4)}")
-print(f"true direction:      {np.array2string(beta_true, precision=4)}")
+print(f"true direction:      {np.array2string(true_beta, precision=4)}")
 
 # compare the fitted curve to log sqrt(s) at a few index values
 probe = np.linspace(s.min() + 0.02, s.max() - 0.02, 6)

@@ -26,7 +26,7 @@ X, y = gen_dataset(cfg, replicate=0)
 print(f"scenario {cfg.scenario}: n={cfg.n}, steepness a={cfg.param_}")
 print(f"population delta (200k-draw quadrature): {true_delta(cfg):.4f}")
 
-path = fit_path(ModelSpec(family="poisson", p=cfg.p), Dataset(y=y, X=X))
+path = fit_path(ModelSpec(family="poisson", p=X.shape[1]), Dataset(y=y, X=X))
 res = jensen_test(path, direction="test_negative", seed=1)
 
 print("\n  log10(lambda)   delta_hat        t")

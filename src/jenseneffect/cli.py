@@ -19,7 +19,12 @@ import numpy as np
 
 from .basis import FourierBasis, basis_matrix, fourier_design
 from .errors import NumericalError
-from .jensen import alternative_null_test, jensen_test, linear_logistic_reference
+from .jensen import (
+    _check_test_options,
+    alternative_null_test,
+    jensen_test,
+    linear_logistic_reference,
+)
 from .model import FAMILY_TABLE, Dataset, ModelSpec, default_lambda_grid, fit_path
 from .simlab import ScenarioConfig, power_study
 
@@ -279,6 +284,7 @@ def cmd_jensen(args) -> int:
             "the vs-linear comparison is defined only for the logit family "
             "(it contrasts the smoothed fit with a linear logistic model)"
         )
+    _check_test_options(args.alpha, args.null_sims, args.seed)
     data, meta = read_dataset(args.data, args.functional, args.fourier_dim)
     q = 0 if data.A is None else data.A.shape[1]
     spec = ModelSpec(

@@ -275,6 +275,16 @@ def _symmetric_root(sigma: np.ndarray) -> np.ndarray:
     return (V * np.sqrt(w)) @ V.T
 
 
+def _check_test_options(alpha: float, n_sims: int, seed: int) -> None:
+    """The test options' input checks, made before anything is computed."""
+    if not 0.0 < alpha <= 0.5:
+        raise ValueError("alpha must lie in (0, 0.5]")
+    if n_sims < 1:
+        raise ValueError("n_sims must be positive")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
+
+
 def null_critical_value(
     sigma_t: np.ndarray,
     alpha: float,
@@ -288,12 +298,9 @@ def null_critical_value(
     root. Returns (critical, p_value_fn) where p_value_fn maps an observed
     statistic to the fraction of null draws at least as extreme.
     """
-    if not 0.0 < alpha <= 0.5:
-        raise ValueError("alpha must lie in (0, 0.5]")
+    _check_test_options(alpha, n_sims, seed)
     if direction not in DIRECTIONS:
         raise ValueError(f"unknown direction {direction!r}; expected one of {DIRECTIONS}")
-    if n_sims < 1:
-        raise ValueError("n_sims must be positive")
     root = _symmetric_root(np.asarray(sigma_t, dtype=float))
     rng = np.random.default_rng(seed)
     draws = rng.standard_normal((n_sims, root.shape[0])) @ root
@@ -355,6 +362,7 @@ def jensen_test(
     n_sims: int = 5000,
 ) -> JensenTestResult:
     """Sign test for the Jensen effect along the whole smoothing path."""
+    _check_test_options(alpha, n_sims, seed)
     if direction is None:
         direction = FAMILY_TABLE[path.spec.family].direction
     if direction == "test_vs_linear_logistic":
@@ -446,6 +454,7 @@ def alternative_null_test(
 ) -> JensenTestResult:
     """Two-sided test of delta_lambda = delta_inf: does the smoothed fit's
     Jensen effect differ from the one a linear-logistic model implies?"""
+    _check_test_options(alpha, n_sims, seed)
     if path.spec.family != "bernoulli_logit":
         raise ValueError("the linear-reference comparison applies to the logit family only")
     if ref.influence_row.shape != (path.data.n,):

@@ -261,7 +261,6 @@ class FitResult:
     n_restarts_used: int
     basis: SplineBasis
     warnings: tuple[str, ...] = ()
-    run_objectives: tuple[float, ...] = ()
     raw_coeffs: Coefficients | None = None
 
 
@@ -630,10 +629,8 @@ def fit(spec: ModelSpec, data: Dataset, lam: float, init: Coefficients | None = 
 
     ev = _Evaluator(spec, data, basis, lam)
     zeta = ev.to_eig(np.concatenate([init.d, init.beta, init.gamma]))
-    value0, _ = ev.value_and_grad_eig(zeta)
-    run_objectives = [float(value0)]
-
-    best_zeta, best_value = zeta, value0
+    best_value, _ = ev.value_and_grad_eig(zeta)
+    best_zeta = zeta
     converged = False
     restarts = 0
     for attempt in range(1 + MAX_RESTARTS):
@@ -653,7 +650,6 @@ def fit(spec: ModelSpec, data: Dataset, lam: float, init: Coefficients | None = 
         prev_value = best_value
         if np.isfinite(res.fun) and res.fun <= best_value:
             best_zeta, best_value = res.x, float(res.fun)
-        run_objectives.append(float(best_value))
         if attempt > 0:
             restarts += 1
         _, grad_now = ev.value_and_grad_eig(best_zeta)
@@ -682,7 +678,6 @@ def fit(spec: ModelSpec, data: Dataset, lam: float, init: Coefficients | None = 
         n_restarts_used=restarts,
         basis=basis,
         warnings=tuple(warnings),
-        run_objectives=tuple(run_objectives),
         raw_coeffs=Coefficients(beta=beta_raw.copy(), gamma=gamma.copy(), d=d.copy()),
     )
     return _canonicalize(spec, result)

@@ -1,15 +1,15 @@
 """Simulation scenarios and the replication harness.
 
-Each catalog entry fixes a family and a composite mean curve m(s) for the
-index s = X beta. Generators draw X uniformly on the configured range and
-produce responses from the family's noise model; the harness runs full
-fit-path + test pipelines over seeded replicates and tabulates rejection
-rates next to the true Jensen effect of the curve.
+Each catalog entry fixes a family, a composite mean curve m(s) for the
+index s = X BETA, the covariate range and the test direction. Generators
+draw the P columns of X uniformly on the entry's range and produce responses
+from the family's noise model; the harness runs full fit-path + test
+pipelines over seeded replicates and tabulates rejection rates next to the
+true Jensen effect of the curve.
 """
 
 from __future__ import annotations
 
-import csv
 import io
 import math
 import os
@@ -37,7 +37,14 @@ __all__ = [
 
 POWER_CSV_HEADER = "scenario,n,param,rejection_rate,true_delta,replicates"
 
-# rows of covariates true_delta draws at a time (8192 x 5 doubles = 320 kB)
+# every cell draws P covariates and indexes them along the equal-weight unit vector
+P = 5
+BETA = np.full(P, 1.0 / math.sqrt(P))
+BETA.setflags(write=False)
+
+# covariate rows in true_delta's Monte Carlo draw, and how many it draws at a
+# time (8192 x 5 doubles = 320 kB)
+TRUE_DELTA_DRAWS = 200_000
 TRUE_DELTA_BLOCK = 8192
 
 
@@ -57,10 +64,10 @@ def _shifted_exp_decay(s, a):
 class _CatalogEntry:
     family: str
     curve: callable
-    default_range: tuple[float, float]
+    x_range: tuple[float, float]
     param_name: str
     default_param: float
-    default_direction: str
+    direction: str
 
 
 CATALOG = {
@@ -103,17 +110,14 @@ def catalog_names() -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One simulation cell: a catalog member plus its free knobs."""
+    """One simulation cell: a catalog member at a sample size, curve
+    parameter (None for the catalog's default), replicate count and seed."""
 
     scenario: str
     n: int
     param: float | None = None
     n_replicates: int = 50
     seed: int = 0
-    p: int = 5
-    covariate_range: tuple[float, float] | None = None
-    beta_true: np.ndarray | None = None
-    direction: str | None = None
 
     def __post_init__(self) -> None:
         if self.scenario not in CATALOG:
@@ -124,49 +128,19 @@ class ScenarioConfig:
             raise ValueError("n must be positive")
         if self.n_replicates <= 0:
             raise ValueError("n_replicates must be positive")
-        if self.p <= 0:
-            raise ValueError("p must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         entry = CATALOG[self.scenario]
         if self.param is not None:
             if not self.param > 0:
                 raise ValueError(f"{entry.param_name} must be positive")
             if math.isinf(self.param) and self.scenario != "logit-convex":
                 raise ValueError(f"{entry.param_name} must be finite")
-        lo, hi = self.range_
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            raise ValueError("covariate_range must be a finite increasing interval")
-        if entry.family == "gaussian_log" and lo < 0:
-            raise ValueError("gaussian_log covariates must be nonnegative")
-        beta = self.beta_
-        if beta.shape != (self.p,):
-            raise ValueError("beta_true must have length p")
-        if abs(np.linalg.norm(beta) - 1.0) > 1e-8:
-            raise ValueError("beta_true must have unit norm")
-
-    @property
-    def family(self) -> str:
-        return CATALOG[self.scenario].family
 
     @property
     def param_(self) -> float:
         entry = CATALOG[self.scenario]
         return entry.default_param if self.param is None else float(self.param)
-
-    @property
-    def range_(self) -> tuple[float, float]:
-        if self.covariate_range is not None:
-            return (float(self.covariate_range[0]), float(self.covariate_range[1]))
-        return CATALOG[self.scenario].default_range
-
-    @property
-    def beta_(self) -> np.ndarray:
-        if self.beta_true is not None:
-            return np.asarray(self.beta_true, dtype=float)
-        return np.full(self.p, 1.0 / math.sqrt(self.p))
-
-    @property
-    def direction_(self) -> str:
-        return self.direction or CATALOG[self.scenario].default_direction
 
 
 @dataclass(frozen=True)
@@ -195,24 +169,6 @@ class PowerTable:
             )
         return buf.getvalue()
 
-    @classmethod
-    def from_csv(cls, text: str) -> "PowerTable":
-        reader = csv.DictReader(io.StringIO(text))
-        if reader.fieldnames != POWER_CSV_HEADER.split(","):
-            raise ValueError("unexpected power-table header")
-        rows = tuple(
-            PowerRow(
-                scenario=rec["scenario"],
-                n=int(rec["n"]),
-                param=float(rec["param"]),
-                rejection_rate=float(rec["rejection_rate"]),
-                true_delta=float(rec["true_delta"]),
-                replicates=int(rec["replicates"]),
-            )
-            for rec in reader
-        )
-        return cls(rows=rows)
-
 
 def _curve_values(config: ScenarioConfig, s: np.ndarray) -> np.ndarray:
     entry = CATALOG[config.scenario]
@@ -233,41 +189,38 @@ def _curve_values(config: ScenarioConfig, s: np.ndarray) -> np.ndarray:
 def gen_dataset(config: ScenarioConfig, replicate: int) -> tuple[np.ndarray, np.ndarray]:
     """Draw one replicate. Deterministic in (config.seed, replicate)."""
     rng = np.random.default_rng([config.seed, int(replicate)])
-    lo, hi = config.range_
-    X = rng.uniform(lo, hi, size=(config.n, config.p))
-    s = X @ config.beta_
-    means = _curve_values(config, s)
-    family = config.family
-    if family == "gaussian_log":
+    entry = CATALOG[config.scenario]
+    lo, hi = entry.x_range
+    X = rng.uniform(lo, hi, size=(config.n, P))
+    means = _curve_values(config, X @ BETA)
+    if entry.family == "gaussian_log":
         y = means * np.exp(config.param_ * rng.standard_normal(config.n))
-    elif family == "poisson":
+    elif entry.family == "poisson":
         y = rng.poisson(means).astype(float)
     else:
         y = rng.binomial(1, means).astype(float)
     return X, y
 
 
-def true_delta(config: ScenarioConfig, n_draw: int = 200_000) -> float:
+def true_delta(config: ScenarioConfig) -> float:
     """Jensen effect of the composite curve under a fresh covariate draw.
 
-    The n_draw x p covariates are drawn TRUE_DELTA_BLOCK rows at a time into
-    one index vector, which is then mapped to the curve's means in place, so
-    the working set is 8 * n_draw bytes plus one block. Every row, and each
-    full-vector mean, is what one n_draw x p draw would give.
+    The TRUE_DELTA_DRAWS x P covariates are drawn TRUE_DELTA_BLOCK rows at a
+    time into one index vector, which is then mapped to the curve's means in
+    place, so the working set is 8 * TRUE_DELTA_DRAWS bytes plus one block.
+    Every row, and each full-vector mean, is what one TRUE_DELTA_DRAWS x P
+    draw would give.
     """
-    if n_draw < 1:
-        raise ValueError(f"n_draw must be at least 1, got {n_draw}")
     rng = np.random.default_rng([config.seed, 340282366])
-    lo, hi = config.range_
-    beta = config.beta_
-    s = np.empty(n_draw)
-    for start in range(0, n_draw, TRUE_DELTA_BLOCK):
+    lo, hi = CATALOG[config.scenario].x_range
+    s = np.empty(TRUE_DELTA_DRAWS)
+    for start in range(0, s.size, TRUE_DELTA_BLOCK):
         block = s[start:start + TRUE_DELTA_BLOCK]
-        block[:] = rng.uniform(lo, hi, size=(block.size, config.p)) @ beta
+        block[:] = rng.uniform(lo, hi, size=(block.size, P)) @ BETA
     s_mean = np.mean(s)
     # feasibility is checked in sample order, before the center, so an
     # infeasible scenario names the same sample as a one-shot draw would
-    for start in range(0, n_draw, TRUE_DELTA_BLOCK):
+    for start in range(0, s.size, TRUE_DELTA_BLOCK):
         block = s[start:start + TRUE_DELTA_BLOCK]
         block[:] = _curve_values(config, block)
     center = _curve_values(config, np.array([s_mean]))[0]
@@ -279,18 +232,16 @@ def _test_seed(config: ScenarioConfig, replicate: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def _run_replicate(config: ScenarioConfig, replicate: int, alpha: float, n_sims: int) -> bool:
+def _run_replicate(config: ScenarioConfig, replicate: int, alpha: float) -> bool:
     X, y = gen_dataset(config, replicate)
-    spec = ModelSpec(family=config.family, p=config.p)
     data = Dataset(y=y, X=X)
-    path = fit_path(spec, data)
+    entry = CATALOG[config.scenario]
+    path = fit_path(ModelSpec(family=entry.family, p=P), data)
     seed = _test_seed(config, replicate)
-    direction = config.direction_
-    if direction == "test_vs_linear_logistic":
-        ref = linear_logistic_reference(data)
-        res = alternative_null_test(path, ref, alpha=alpha, seed=seed, n_sims=n_sims)
+    if entry.direction == "test_vs_linear_logistic":
+        res = alternative_null_test(path, linear_logistic_reference(data), alpha=alpha, seed=seed)
     else:
-        res = jensen_test(path, direction=direction, alpha=alpha, seed=seed, n_sims=n_sims)
+        res = jensen_test(path, direction=entry.direction, alpha=alpha, seed=seed)
     return bool(res.reject)
 
 
@@ -301,7 +252,7 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _run_jobs(jobs, alpha: float, n_sims: int) -> list:
+def _run_jobs(jobs, alpha: float) -> list:
     """Run (config, replicate) jobs in order. Per job: the outcome, either
     (True, reject) or (False, failure text), and the warnings it raised as
     (category, text, filename, lineno), recorded under the current filters."""
@@ -309,7 +260,7 @@ def _run_jobs(jobs, alpha: float, n_sims: int) -> list:
     for config, r in jobs:
         with _warnings.catch_warnings(record=True) as caught:
             try:
-                outcome = (True, _run_replicate(config, r, alpha, n_sims))
+                outcome = (True, _run_replicate(config, r, alpha))
             except (NumericalError, ValueError) as exc:
                 outcome = (False, str(exc))
         raised = [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
@@ -317,12 +268,12 @@ def _run_jobs(jobs, alpha: float, n_sims: int) -> list:
     return results
 
 
-def _child(conn, jobs, alpha: float, n_sims: int) -> None:
+def _child(conn, jobs, alpha: float) -> None:
     """Body of a forked worker: send (True, results) or (False, exception).
     If even the exception does not pickle, the worker exits without sending
     and the caller reports its exit code."""
     try:
-        conn.send((True, _run_jobs(jobs, alpha, n_sims)))
+        conn.send((True, _run_jobs(jobs, alpha)))
     except Exception as exc:
         conn.send((False, exc))
     finally:
@@ -332,15 +283,16 @@ def _child(conn, jobs, alpha: float, n_sims: int) -> None:
 def power_study(
     configs: list[ScenarioConfig],
     alpha: float = 0.05,
-    n_sims: int = 5000,
     threads: int = 1,
 ) -> PowerTable:
     """Run every configured cell and tabulate rejection frequencies.
 
-    The cells' replicates, listed in order as jobs, are dealt round-robin to
-    W = min(threads, jobs, usable CPUs) workers: the calling process runs
-    jobs 0, W, 2W, ... and W - 1 forked children run the rest, each sending
-    its outcomes and warnings back over a pipe. Replicates are seeded
+    Each cell's true_delta is computed first, so an infeasible cell raises
+    InfeasibleScenarioError before any replicate runs. The cells'
+    replicates, listed in order as jobs, are dealt round-robin to W =
+    min(threads, jobs, usable CPUs) workers: the calling process runs jobs
+    0, W, 2W, ... and W - 1 forked children run the rest, each sending its
+    outcomes and warnings back over a pipe. Replicates are seeded
     individually and rows are built in replicate order, so the table, the
     failures and the re-issued warnings do not depend on W. Where fork is
     unavailable W is 1. Failed replicates are recorded on the row (and
@@ -350,6 +302,7 @@ def power_study(
         raise ValueError("alpha must lie in (0, 0.5]")
     if threads < 1:
         raise ValueError("threads must be positive")
+    deltas = [true_delta(config) for config in configs]
     # imported here, so that fitting alone does not load multiprocessing
     import multiprocessing
 
@@ -365,11 +318,11 @@ def power_study(
     try:
         for w in range(1, workers):
             recv_end, send_end = fork.Pipe(duplex=False)
-            proc = fork.Process(target=_child, args=(send_end, jobs[w::workers], alpha, n_sims))
+            proc = fork.Process(target=_child, args=(send_end, jobs[w::workers], alpha))
             proc.start()
             send_end.close()
             children.append((proc, recv_end))
-        results[0::workers] = _run_jobs(jobs[0::workers], alpha, n_sims)
+        results[0::workers] = _run_jobs(jobs[0::workers], alpha)
         for w, (proc, conn) in enumerate(children, start=1):
             try:
                 ok, payload = conn.recv()
@@ -394,7 +347,7 @@ def power_study(
     registry: dict = {}  # a "default" filter shows each (text, category, line) once per call
     rows = []
     start = 0
-    for config in configs:
+    for config, delta in zip(configs, deltas):
         outcomes: list[bool] = []
         failures: list[str] = []
         for (ok, value), raised in results[start:start + config.n_replicates]:
@@ -422,7 +375,7 @@ def power_study(
                 n=config.n,
                 param=config.param_,
                 rejection_rate=float(np.mean(outcomes)),
-                true_delta=true_delta(config),
+                true_delta=delta,
                 replicates=len(outcomes),
                 failures=tuple(failures),
             )

@@ -42,6 +42,7 @@ from jenseneffect.model import (
     objective,
 )
 from jenseneffect.simlab import (
+    BETA,
     ScenarioConfig,
     _curve_values,
     gen_dataset,
@@ -77,7 +78,7 @@ def test_criterion_01_gaussian_suite():
     reps = 50
     names = ("gauss-exp", "gauss-sqrt", "gauss-sin", "gauss-linear")
     configs = [ScenarioConfig(s, n=1000, n_replicates=reps, seed=11) for s in names]
-    table = power_study(configs, alpha=0.05, n_sims=5000, threads=2)
+    table = power_study(configs, alpha=0.05, threads=2)
     c = rejection_counts(table)
     counts = {s: c[(s, 0.01)] for s in names}
     clean = all_replicates_succeeded(table, reps)
@@ -104,7 +105,7 @@ def test_criterion_02_poisson_suite():
         ScenarioConfig(s, n=1000, n_replicates=reps, seed=12)
         for s in ("pois-exp", "pois-logistic", "pois-linear")
     ]
-    table = power_study(configs, alpha=0.05, n_sims=5000, threads=2)
+    table = power_study(configs, alpha=0.05, threads=2)
     c = rejection_counts(table)
     counts = {
         "pois-exp": c[("pois-exp", 8.0)],
@@ -135,7 +136,7 @@ def test_criterion_03_power_peaks_at_intermediate_steepness():
         ScenarioConfig("pois-logistic", n=1000, param=a, n_replicates=reps, seed=13)
         for a in params
     ]
-    table = power_study(configs, alpha=0.05, n_sims=5000, threads=2)
+    table = power_study(configs, alpha=0.05, threads=2)
     rates = {r.param: r.rejection_rate for r in table.rows}
     clean = all_replicates_succeeded(table, reps)
     ok = clean and rates[8.0] > rates[2.0] and rates[8.0] > rates[16.0]
@@ -156,7 +157,7 @@ def test_criterion_04_power_decreases_with_noise():
         ScenarioConfig("gauss-sqrt", n=500, param=s, n_replicates=reps, seed=14)
         for s in sigmas
     ]
-    table = power_study(configs, alpha=0.05, n_sims=5000, threads=2)
+    table = power_study(configs, alpha=0.05, threads=2)
     rates = [next(r.rejection_rate for r in table.rows if r.param == s) for s in sigmas]
     clean = all_replicates_succeeded(table, reps)
     inversions = []
@@ -194,10 +195,9 @@ def test_criterion_05_logistic_size_under_both_nulls():
             param=np.inf,
             n_replicates=reps,
             seed=15,
-            direction="test_positive",
         ),
     ]
-    table = power_study(configs, alpha=alpha, n_sims=5000, threads=2)
+    table = power_study(configs, alpha=alpha, threads=2)
     rate_ref = next(r.rejection_rate for r in table.rows if r.scenario == "logit-linear")
     rate_sign = next(r.rejection_rate for r in table.rows if r.scenario == "logit-convex")
     clean = all_replicates_succeeded(table, reps)
@@ -281,7 +281,7 @@ def test_criterion_06_gradients_match_finite_differences():
 def test_criterion_07_variance_formula_matches_monte_carlo():
     cfg = ScenarioConfig("gauss-sqrt", n=500, param=0.05, seed=16)
     X, y0 = gen_dataset(cfg, 0)
-    spec = ModelSpec(family="gaussian_log", p=cfg.p)
+    spec = ModelSpec(family="gaussian_log", p=X.shape[1])
     pilot = fit_path(spec, Dataset(y=y0, X=X))
     k = pilot.selected
     lam_sel = pilot.grid[k]
@@ -289,8 +289,8 @@ def test_criterion_07_variance_formula_matches_monte_carlo():
     var_formula = float(delta_cov(pilot, evals)[k, k])
 
     # refits: same design and smoothing level, fresh multiplicative noise
-    means = _curve_values(cfg, X @ cfg.beta_)
-    spec_fixed = ModelSpec(family="gaussian_log", p=cfg.p, basis=pilot.fits[k].basis)
+    means = _curve_values(cfg, X @ BETA)
+    spec_fixed = ModelSpec(family="gaussian_log", p=X.shape[1], basis=pilot.fits[k].basis)
     rng = np.random.default_rng(716)
     deltas = np.empty(200)
     for r in range(200):
@@ -319,7 +319,7 @@ def test_criterion_07_variance_formula_matches_monte_carlo():
 def gauss_pipeline():
     cfg = ScenarioConfig("gauss-sqrt", n=300, seed=17)
     X, y = gen_dataset(cfg, 0)
-    path = fit_path(ModelSpec(family="gaussian_log", p=cfg.p), Dataset(y=y, X=X))
+    path = fit_path(ModelSpec(family="gaussian_log", p=X.shape[1]), Dataset(y=y, X=X))
     return path, jensen_test(path, seed=29)
 
 
@@ -327,7 +327,7 @@ def gauss_pipeline():
 def pois_pipeline():
     cfg = ScenarioConfig("pois-logistic", n=300, seed=18)
     X, y = gen_dataset(cfg, 0)
-    path = fit_path(ModelSpec(family="poisson", p=cfg.p), Dataset(y=y, X=X))
+    path = fit_path(ModelSpec(family="poisson", p=X.shape[1]), Dataset(y=y, X=X))
     return path, jensen_test(path, seed=31)
 
 

@@ -221,6 +221,29 @@ def test_jensen_numerical_failure_exit3(gaussian_csv, tmp_path, monkeypatch, cap
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--alpha", "0.7"], "alpha"),
+        (["--null-sims", "0"], "n_sims"),
+        (["--seed", "-1"], "seed must be non-negative"),
+    ],
+)
+def test_jensen_bad_test_option_exit2_before_fitting(
+    gaussian_csv, tmp_path, monkeypatch, capsys, flags, message
+):
+    import jenseneffect.cli as cli
+
+    def unreachable(*a, **kw):
+        pytest.fail("fit_path ran before the test options were checked")
+
+    monkeypatch.setattr(cli, "fit_path", unreachable)
+    argv = ["jensen", "--family", "gaussian-log", "--data", str(gaussian_csv)]
+    assert main(argv + flags + ["--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "result.json").exists()
+
+
 def test_jensen_vs_linear_logit_end_to_end(tmp_path, capsys):
     data = tmp_path / "logit.csv"
     write_logit_csv(data)
@@ -415,6 +438,31 @@ def test_power_empty_param_list_exit2(tmp_path, capsys):
     argv = ["power", "--scenario", "gauss-sqrt", "--n", "100", "--param", ",", "--out", str(out)]
     assert main(argv) == 2
     assert "--param must name at least one value" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--scenario", "gauss-sqrt", "--seed", "-1"], "seed must be non-negative"),
+        # the plateau curve is exactly 0 at a = 1e300, the convex
+        # probability curve 0 / 0 at a = 1e-300
+        (["--scenario", "pois-logistic", "--param", "1e300"], "mean space"),
+        (["--scenario", "logit-convex", "--param", "1e-300"], "mean space"),
+    ],
+)
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_power_input_error_exit2_before_any_replicate(tmp_path, monkeypatch, capsys, flags, message):
+    import jenseneffect.simlab as simlab
+
+    def unreachable(*a, **kw):
+        pytest.fail("a replicate ran before the cell was checked")
+
+    monkeypatch.setattr(simlab, "_run_replicate", unreachable)
+    out = tmp_path / "p.csv"
+    argv = ["power", *flags, "--n", "100", "--replicates", "2", "--out", str(out)]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

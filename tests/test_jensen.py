@@ -491,6 +491,20 @@ def test_critical_value_validation():
         null_critical_value(np.eye(1), 0.05, "sideways")
     with pytest.raises(ValueError, match="n_sims"):
         null_critical_value(np.eye(1), 0.05, "test_negative", n_sims=0)
+    with pytest.raises(ValueError, match="seed"):
+        null_critical_value(np.eye(1), 0.05, "test_negative", seed=-1)
+
+
+@pytest.mark.parametrize(
+    "options, message",
+    [({"alpha": 0.7}, "alpha"), ({"n_sims": 0}, "n_sims"), ({"seed": -1}, "seed")],
+)
+def test_both_tests_check_their_options_before_reading_the_path(options, message):
+    # no path is needed to reject a bad option, so none is built
+    with pytest.raises(ValueError, match=message):
+        jensen_test(None, **options)
+    with pytest.raises(ValueError, match=message):
+        alternative_null_test(None, None, **options)
 
 
 def test_pvalue_reproducible_and_monotone():

@@ -5,6 +5,9 @@ bit, and the harness against hand-counted outcomes with an injected
 failure.
 """
 
+import csv
+import dataclasses
+import io
 import itertools
 import multiprocessing
 import os
@@ -18,6 +21,7 @@ from scipy.special import expit
 import jenseneffect.simlab as simlab
 from jenseneffect.errors import InfeasibleScenarioError
 from jenseneffect.simlab import (
+    BETA,
     CATALOG,
     POWER_CSV_HEADER,
     PowerTable,
@@ -44,14 +48,18 @@ def test_config_guards():
         ScenarioConfig(scenario="gauss-exp", n=100, n_replicates=0)
     with pytest.raises(ValueError, match="positive"):
         ScenarioConfig(scenario="pois-logistic", n=100, param=-1.0)
-    with pytest.raises(ValueError, match="nonnegative"):
-        ScenarioConfig(scenario="gauss-exp", n=100, covariate_range=(-0.1, 0.5))
-    with pytest.raises(ValueError, match="unit norm"):
-        ScenarioConfig(scenario="gauss-exp", n=100, p=2, beta_true=np.array([1.0, 1.0]))
     with pytest.raises(ValueError, match="finite"):
         ScenarioConfig(scenario="pois-logistic", n=100, param=np.inf)
     # the constant-probability limit is a legitimate null for this member
     ScenarioConfig(scenario="logit-convex", n=100, param=np.inf)
+
+
+def test_negative_seed_is_an_input_error():
+    # numpy's generators take no negative seed, so a cell with one could
+    # only fail in every replicate
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        ScenarioConfig(scenario="gauss-sqrt", n=100, seed=-1)
+    ScenarioConfig(scenario="gauss-sqrt", n=100, seed=0)
 
 
 def test_catalog_names_sorted():
@@ -77,7 +85,7 @@ def test_gen_dataset_deterministic(scenario):
 def test_gen_dataset_index_range_and_means():
     cfg = ScenarioConfig(scenario="gauss-exp", n=4000, seed=1)
     X, y = gen_dataset(cfg, 0)
-    s = X @ cfg.beta_
+    s = X @ BETA
     assert s.min() >= 0.0
     assert s.max() <= 5 * 0.5 / np.sqrt(5) + 1e-12
     # column means near the midpoint of the range
@@ -114,7 +122,8 @@ def test_convex_logit_curve_range():
 
 
 def test_infeasible_scenario_names_offending_index():
-    cfg = ScenarioConfig(scenario="pois-linear", n=300, seed=0, covariate_range=(-5.0, 5.0))
+    # the plateau curve 30 / (1 + exp(-s / a)) - 15 is exactly 0 at a = 1e300
+    cfg = ScenarioConfig(scenario="pois-logistic", n=300, seed=0, param=1e300)
     with pytest.raises(InfeasibleScenarioError, match="s="):
         gen_dataset(cfg, 0)
 
@@ -147,42 +156,48 @@ def test_true_delta_concavity_ordering():
     assert d8 < d2 < 0
 
 
-def one_shot_true_delta(config, n_draw=200_000):
-    """Reference: the whole n_draw x p covariate draw in one array."""
+def one_shot_true_delta(config):
+    """Reference: the whole TRUE_DELTA_DRAWS x P covariate draw in one array."""
     rng = np.random.default_rng([config.seed, 340282366])
-    lo, hi = config.range_
-    X = rng.uniform(lo, hi, size=(n_draw, config.p))
-    s = X @ config.beta_
+    lo, hi = CATALOG[config.scenario].x_range
+    X = rng.uniform(lo, hi, size=(simlab.TRUE_DELTA_DRAWS, simlab.P))
+    s = X @ simlab.BETA
     means = simlab._curve_values(config, s)
     center = simlab._curve_values(config, np.array([np.mean(s)]))[0]
     return float(np.mean(means) - center)
 
 
+def _draw_shape(monkeypatch, p, draws):
+    """Make the module draw `draws` rows of p covariates, indexed along the
+    equal-weight unit vector."""
+    monkeypatch.setattr(simlab, "P", p)
+    monkeypatch.setattr(simlab, "BETA", np.full(p, 1.0 / np.sqrt(p)))
+    monkeypatch.setattr(simlab, "TRUE_DELTA_DRAWS", draws)
+
+
 @pytest.mark.parametrize("scenario", sorted(CATALOG))
-def test_true_delta_matches_one_shot_draw(scenario):
-    # n_draw = 12 345 ends on a partial block; 200 000 is the default
+def test_true_delta_matches_one_shot_draw(scenario, monkeypatch):
+    # 12 345 draws end on a partial block; 200 000 is the module's count
     scales = (1.0, 2.0, 0.5)
     cells = itertools.product((1, 5, 7), (1, 12_345, 200_000))
-    for k, (p, n_draw) in enumerate(cells):
+    for k, (p, draws) in enumerate(cells):
+        _draw_shape(monkeypatch, p, draws)
         param = scales[k % 3] * CATALOG[scenario].default_param
-        cfg = ScenarioConfig(scenario=scenario, n=100, p=p, seed=k, param=param)
-        assert true_delta(cfg, n_draw) == one_shot_true_delta(cfg, n_draw), (p, n_draw, seed)
+        cfg = ScenarioConfig(scenario=scenario, n=100, seed=k, param=param)
+        assert true_delta(cfg) == one_shot_true_delta(cfg), (p, draws, k)
 
 
-def test_true_delta_infeasible_names_the_same_sample():
+def test_true_delta_infeasible_names_the_same_sample(monkeypatch):
     # the first negative index is sample 23 987, in the third block
-    cfg = ScenarioConfig(scenario="pois-linear", n=100, p=1, seed=12, covariate_range=(-0.0002, 20.0))
+    _draw_shape(monkeypatch, 1, 50_000)
+    entry = dataclasses.replace(CATALOG["pois-linear"], x_range=(-0.0002, 20.0))
+    monkeypatch.setitem(CATALOG, "pois-linear", entry)
+    cfg = ScenarioConfig(scenario="pois-linear", n=100, seed=12)
     with pytest.raises(InfeasibleScenarioError) as expected:
-        one_shot_true_delta(cfg, 50_000)
+        one_shot_true_delta(cfg)
     with pytest.raises(InfeasibleScenarioError) as got:
-        true_delta(cfg, 50_000)
+        true_delta(cfg)
     assert str(got.value) == str(expected.value)
-
-
-@pytest.mark.parametrize("n_draw", [0, -3])
-def test_true_delta_rejects_empty_draw(n_draw):
-    with pytest.raises(ValueError, match="n_draw"):
-        true_delta(ScenarioConfig(scenario="gauss-sqrt", n=100), n_draw)
 
 
 def test_true_delta_memory_is_one_vector_plus_one_block():
@@ -239,13 +254,13 @@ def _record_pids(monkeypatch, tmp_path, fail=None):
     real = simlab._run_replicate
     log = tmp_path / "pids.txt"
 
-    def recording(config, replicate, alpha, n_sims):
+    def recording(config, replicate, alpha):
         with open(log, "a") as fh:
             fh.write(f"{replicate} {os.getpid()}\n")
         exc = fail(replicate) if fail else None
         if exc is not None:
             raise exc
-        return real(config, replicate, alpha, n_sims)
+        return real(config, replicate, alpha)
 
     monkeypatch.setattr(simlab, "_run_replicate", recording)
 
@@ -319,10 +334,10 @@ def test_power_study_reissues_a_worker_warning(monkeypatch, tmp_path):
     monkeypatch.setattr(simlab, "_usable_cpus", lambda: 2)
     real = simlab._run_replicate
 
-    def warning(config, replicate, alpha, n_sims):
+    def warning(config, replicate, alpha):
         if replicate == 1:
             warnings.warn(f"note from pid {os.getpid()}", UserWarning)
-        return real(config, replicate, alpha, n_sims)
+        return real(config, replicate, alpha)
 
     monkeypatch.setattr(simlab, "_run_replicate", warning)
     cfg = ScenarioConfig(scenario="gauss-sqrt", n=150, n_replicates=3, seed=5)
@@ -331,6 +346,28 @@ def test_power_study_reissues_a_worker_warning(monkeypatch, tmp_path):
     assert len(record) == 1
     assert int(str(record[0].message).split()[-1]) != os.getpid()
     assert record[0].filename == __file__
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "scenario, param",
+    # the plateau curve is exactly 0 at a = 1e300; the convex probability
+    # curve divides 0 by 0 at a = 1e-300
+    [("pois-logistic", 1e300), ("logit-convex", 1e-300)],
+)
+def test_power_study_rejects_an_infeasible_cell_before_any_replicate(
+    scenario, param, monkeypatch, tmp_path
+):
+    monkeypatch.setattr(simlab, "_usable_cpus", lambda: 2)
+    _record_pids(monkeypatch, tmp_path)
+    cells = [
+        ScenarioConfig(scenario="gauss-sqrt", n=150, n_replicates=2, seed=5),
+        ScenarioConfig(scenario=scenario, n=150, param=param, n_replicates=2),
+    ]
+    with pytest.raises(InfeasibleScenarioError, match=scenario):
+        power_study(cells, threads=2)
+    assert not (tmp_path / "pids.txt").exists()  # no replicate ran
     assert multiprocessing.active_children() == []
 
 
@@ -370,25 +407,24 @@ def test_power_study_records_failures(monkeypatch):
 # --- serialization --------------------------------------------------------------------
 
 
+def read_csv(text):
+    return list(csv.DictReader(io.StringIO(text)))
+
+
 def test_csv_header_and_roundtrip(tiny_table):
     table, _ = tiny_table
     text = table.to_csv()
     lines = text.splitlines()
     assert lines[0] == POWER_CSV_HEADER
     assert len(lines) == 2
-    back = PowerTable.from_csv(text)
-    row, orig = back.rows[0], table.rows[0]
-    assert row.scenario == orig.scenario
-    assert row.n == orig.n
-    assert row.param == orig.param
-    assert row.rejection_rate == orig.rejection_rate
-    assert row.true_delta == orig.true_delta
-    assert row.replicates == orig.replicates
-
-
-def test_csv_rejects_wrong_header():
-    with pytest.raises(ValueError, match="header"):
-        PowerTable.from_csv("a,b,c\n1,2,3\n")
+    (rec,) = read_csv(text)
+    orig = table.rows[0]
+    assert rec["scenario"] == orig.scenario
+    assert int(rec["n"]) == orig.n
+    assert float(rec["param"]) == orig.param
+    assert float(rec["rejection_rate"]) == orig.rejection_rate
+    assert float(rec["true_delta"]) == orig.true_delta
+    assert int(rec["replicates"]) == orig.replicates
 
 
 def test_csv_full_precision():
@@ -401,6 +437,6 @@ def test_csv_full_precision():
         replicates=3,
     )
     text = PowerTable(rows=(row,)).to_csv()
-    back = PowerTable.from_csv(text).rows[0]
-    assert back.rejection_rate == row.rejection_rate
-    assert back.true_delta == row.true_delta
+    (back,) = read_csv(text)
+    assert float(back["rejection_rate"]) == row.rejection_rate
+    assert float(back["true_delta"]) == row.true_delta
