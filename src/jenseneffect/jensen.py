@@ -10,7 +10,9 @@ difference per observation so extra covariates stay at their own values).
 delta_hat is computed at every lambda on a fitted path; a multivariate
 normal null for the normalized process t_lambda gives a critical value for
 min/max-type statistics, simulated rather than asymptotic because the
-per-lambda estimates are strongly dependent.
+per-lambda estimates are strongly dependent. The direction table
+`_STATISTICS` gives the observed and the null statistic and their tail;
+`_functional` gives delta and its gradient for spline and linear fits alike.
 """
 
 from __future__ import annotations
@@ -48,7 +50,13 @@ __all__ = [
     "alternative_null_test",
 ]
 
-DIRECTIONS = ("test_negative", "test_positive", "test_vs_linear_logistic")
+# the direction table: direction -> (its statistic of t along `axis`, rejects in the lower tail)
+_STATISTICS = {
+    "test_negative": (np.min, True),
+    "test_positive": (np.max, False),
+    "test_vs_linear_logistic": (lambda t, axis: np.abs(t).max(axis=axis), False),
+}
+DIRECTIONS = tuple(_STATISTICS)
 REFERENCE_MAX_ITER = 100
 
 
@@ -152,18 +160,27 @@ def make_eval_set(spec: ModelSpec, data: Dataset, fit: FitResult) -> EvalSet:
     )
 
 
-def _link_values(ev: EvalSet, d: np.ndarray) -> np.ndarray:
-    return FAMILY_TABLE[ev.family].h(ev.phi_plus @ d + ev.offsets)
-
-
 def _paired_weights(n: int) -> np.ndarray:
     return np.tile([1.0 / n, -1.0 / n], n)
 
 
-def _paired_mean(hv: np.ndarray) -> float:
-    # pairwise differencing: identical pair members cancel exactly
-    diffs = hv[0::2] - hv[1::2]
-    return float(np.sum(diffs) / diffs.size)
+def _functional(
+    family: str, rows: np.ndarray, weights: np.ndarray, offsets, coef: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """(delta, c) at g = rows @ coef + offsets: delta = sum_i a_i h(g_i), or
+    the mean pair difference for a paired family (identical pair members
+    cancel exactly), and its gradient in coef, c = rows' (a * h'(g))."""
+    fam = FAMILY_TABLE[family]
+    g = rows @ coef + offsets
+    hv = fam.h(g)
+    if np.ptp(hv) == 0.0:
+        delta = 0.0
+    elif fam.paired:
+        diffs = hv[0::2] - hv[1::2]
+        delta = float(np.sum(diffs) / diffs.size)
+    else:
+        delta = float(weights @ hv)
+    return delta, rows.T @ (weights * fam.h_prime(g))
 
 
 def delta_hat(fit: FitResult, ev: EvalSet) -> float:
@@ -172,18 +189,7 @@ def delta_hat(fit: FitResult, ev: EvalSet) -> float:
     Exactly zero whenever the fitted values are constant over the evaluation
     points, and (paired case) whenever every pair is degenerate.
     """
-    hv = _link_values(ev, fit.coeffs.d)
-    if np.ptp(hv) == 0.0:
-        return 0.0
-    if FAMILY_TABLE[ev.family].paired:
-        return _paired_mean(hv)
-    return float(ev.weights @ hv)
-
-
-def _sensitivity(ev: EvalSet, d: np.ndarray) -> np.ndarray:
-    """c = Phi+' (a * h'(g+)): gradient of delta_hat in the spline block."""
-    hprime = FAMILY_TABLE[ev.family].h_prime(ev.phi_plus @ d + ev.offsets)
-    return ev.phi_plus.T @ (ev.weights * hprime)
+    return _functional(ev.family, ev.phi_plus, ev.weights, ev.offsets, fit.coeffs.d)[0]
 
 
 def truncate_psd(mat: np.ndarray) -> np.ndarray:
@@ -197,12 +203,13 @@ def truncate_psd(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
-def _influence_row(fit: FitResult, ev: EvalSet) -> np.ndarray:
-    """g = Phi M^-1 c = d(delta_hat) / d(W z) for one fit: the sensitivity c
-    of delta_hat to the spline coefficients carried into observation space
-    through d_hat = M^-1 Phi' W z."""
+def _terms(fit: FitResult, ev: EvalSet) -> tuple[float, np.ndarray]:
+    """(delta_hat, its influence row Phi M^-1 c = d(delta_hat) / d(W z)) for
+    one fit: the gradient c of delta_hat in the spline coefficients carried
+    into observation space through d_hat = M^-1 Phi' W z."""
     phi, _, _, V = _fit_system(fit)
-    return phi @ (V @ _sensitivity(ev, fit.coeffs.d))
+    delta, c = _functional(ev.family, ev.phi_plus, ev.weights, ev.offsets, fit.coeffs.d)
+    return delta, phi @ (V @ c)
 
 
 def _path_terms(path: LambdaPath) -> tuple[np.ndarray, np.ndarray]:
@@ -212,8 +219,7 @@ def _path_terms(path: LambdaPath) -> tuple[np.ndarray, np.ndarray]:
     rows = np.empty((len(path.fits), path.data.n))
     for k, f in enumerate(path.fits):
         ev = make_eval_set(path.spec, path.data, f)
-        deltas[k] = delta_hat(f, ev)
-        rows[k] = _influence_row(f, ev)
+        deltas[k], rows[k] = _terms(f, ev)
         del ev  # free this fit's set before the next one is built
     return deltas, rows
 
@@ -237,7 +243,7 @@ def delta_cov(path: LambdaPath, evals: list[EvalSet]) -> np.ndarray:
     """
     if len(evals) != len(path.fits):
         raise ValueError("need one evaluation set per grid value")
-    rows = np.array([_influence_row(f, ev) for f, ev in zip(path.fits, evals)])
+    rows = np.array([_terms(f, ev)[1] for f, ev in zip(path.fits, evals)])
     return _row_cov(path, rows, "delta_hat")
 
 
@@ -304,19 +310,12 @@ def null_critical_value(
     root = _symmetric_root(np.asarray(sigma_t, dtype=float))
     rng = np.random.default_rng(seed)
     draws = rng.standard_normal((n_sims, root.shape[0])) @ root
-    if direction == "test_negative":
-        stats = draws.min(axis=1)
-        critical = float(np.quantile(stats, alpha))
+    statistic, lower = _STATISTICS[direction]
+    stats = statistic(draws, axis=1)
+    critical = float(np.quantile(stats, alpha if lower else 1.0 - alpha))
 
-        def p_value_fn(observed: float) -> float:
-            return float(np.mean(stats <= observed))
-
-    else:
-        stats = draws.max(axis=1) if direction == "test_positive" else np.abs(draws).max(axis=1)
-        critical = float(np.quantile(stats, 1.0 - alpha))
-
-        def p_value_fn(observed: float) -> float:
-            return float(np.mean(stats >= observed))
+    def p_value_fn(observed: float) -> float:
+        return float(np.mean(stats <= observed if lower else stats >= observed))
 
     return critical, p_value_fn
 
@@ -327,15 +326,9 @@ def _assemble_result(deltas, sigma, direction, alpha, n_sims, seed):
         t, sigma_t, kept = t_process(deltas, sigma)
     notes = tuple(str(w.message) for w in caught)
     critical, p_fn = null_critical_value(sigma_t, alpha, direction, n_sims, seed)
-    if direction == "test_negative":
-        statistic = float(t.min())
-        reject = statistic < critical
-    elif direction == "test_positive":
-        statistic = float(t.max())
-        reject = statistic > critical
-    else:
-        statistic = float(np.abs(t).max())
-        reject = statistic > critical
+    statistic_of, lower = _STATISTICS[direction]
+    statistic = float(statistic_of(t, axis=None))
+    reject = statistic < critical if lower else statistic > critical
     return JensenTestResult(
         deltas=np.asarray(deltas, dtype=float),
         sigma_delta=sigma,
@@ -385,21 +378,6 @@ def _reference_design(data: Dataset) -> np.ndarray:
     return np.hstack(blocks)
 
 
-def _reference_eval_design(data: Dataset) -> np.ndarray:
-    """Augmented design rows matching the interleaved evaluation points."""
-    n = data.n
-    q = 0 if data.A is None else data.A.shape[1]
-    Dplus = np.empty((2 * n, 1 + q + data.X.shape[1]))
-    Dplus[:, 0] = 1.0
-    if q:
-        Dplus[0::2, 1 : 1 + q] = data.A
-        Dplus[1::2, 1 : 1 + q] = data.A
-    xbar = data.X.mean(axis=0)
-    Dplus[0::2, 1 + q :] = data.X
-    Dplus[1::2, 1 + q :] = xbar
-    return Dplus
-
-
 def linear_logistic_reference(data: Dataset, path: LambdaPath | None = None) -> LinearReference:
     """Fit an ordinary linear-logistic model and its Jensen functional.
 
@@ -427,20 +405,19 @@ def linear_logistic_reference(data: Dataset, path: LambdaPath | None = None) -> 
         )
     q = 0 if data.A is None else data.A.shape[1]
     fitted = fam.mean(D @ coef)
-    Dplus = _reference_eval_design(data)
-    g_plus = Dplus @ coef
-    pi_plus = fam.h(g_plus)
+    # the paired evaluation rows: each design row, then its twin with X at the column means
+    Dplus = np.repeat(D, 2, axis=0)
+    Dplus[1::2, 1 + q :] = data.X.mean(axis=0)
+    delta_inf, sens = _functional("bernoulli_logit", Dplus, _paired_weights(data.n), 0.0, coef)
     # d(delta_inf)/dy through the weighted least-squares coefficient map of
-    # the linear fit, D (D' W D)^-1 Dplus' (a * h'(Dplus coef)), with the
-    # contraction `_sensitivity` makes for a spline fit
-    sens = Dplus.T @ (_paired_weights(data.n) * fam.h_prime(g_plus))
+    # the linear fit, D (D' W D)^-1 sens
     DWD = D.T @ (D * fam.weight(fitted)[:, None])
     return LinearReference(
         intercept=float(coef[0]),
         beta_inf=coef[1 + q :].copy(),
         gamma_inf=coef[1 : 1 + q].copy(),
         fitted_pi=fitted,
-        delta_inf=0.0 if np.ptp(pi_plus) == 0.0 else _paired_mean(pi_plus),
+        delta_inf=delta_inf,
         influence_row=D @ scipy.linalg.solve(DWD, sens, assume_a="sym"),
     )
 

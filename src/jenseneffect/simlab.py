@@ -173,10 +173,8 @@ class PowerTable:
 def _curve_values(config: ScenarioConfig, s: np.ndarray) -> np.ndarray:
     entry = CATALOG[config.scenario]
     means = np.asarray(entry.curve(s, config.param_), dtype=float)
-    if entry.family in ("gaussian_log", "poisson"):
-        bad = ~(means > 0.0)
-    else:
-        bad = ~((means > 0.0) & (means < 1.0))
+    upper = np.inf if entry.family in ("gaussian_log", "poisson") else 1.0
+    bad = ~((means > 0.0) & (means < upper))
     if np.any(bad):
         k = int(np.argmax(bad))
         raise InfeasibleScenarioError(

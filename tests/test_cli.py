@@ -449,9 +449,12 @@ def test_power_empty_param_list_exit2(tmp_path, capsys):
         # probability curve 0 / 0 at a = 1e-300
         (["--scenario", "pois-logistic", "--param", "1e300"], "mean space"),
         (["--scenario", "logit-convex", "--param", "1e-300"], "mean space"),
+        # exp(s / 0.01) overflows to an infinite mean
+        (["--scenario", "pois-exp", "--param", "0.01"], "mean space"),
     ],
 )
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_power_input_error_exit2_before_any_replicate(tmp_path, monkeypatch, capsys, flags, message):
     import jenseneffect.simlab as simlab
 

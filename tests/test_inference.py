@@ -22,7 +22,7 @@ from jenseneffect.inference import (
     sigma2_hat,
     smoother_matrix,
 )
-from jenseneffect.jensen import _sensitivity, delta_cov, jensen_test, make_eval_set
+from jenseneffect.jensen import _functional, delta_cov, jensen_test, make_eval_set
 from jenseneffect.model import Coefficients, Dataset, FitResult, ModelSpec, fit, fit_path
 
 
@@ -273,7 +273,10 @@ def test_delta_cov_matches_pairwise_coef_cov_oracle():
     # contracted pair by pair with the delta sensitivities
     for path, data in (gaussian_path(n=150), poisson_path(n=200)):
         evals = [make_eval_set(path.spec, data, f) for f in path.fits]
-        sens = [_sensitivity(ev, f.coeffs.d) for ev, f in zip(evals, path.fits)]
+        sens = [
+            _functional(ev.family, ev.phi_plus, ev.weights, ev.offsets, f.coeffs.d)[1]
+            for ev, f in zip(evals, path.fits)
+        ]
         m = len(path.fits)
         oracle = np.array(
             [[sens[i] @ coef_cov(path, i, j) @ sens[j] for j in range(m)] for i in range(m)]

@@ -350,11 +350,12 @@ def test_power_study_reissues_a_worker_warning(monkeypatch, tmp_path):
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize(
     "scenario, param",
     # the plateau curve is exactly 0 at a = 1e300; the convex probability
-    # curve divides 0 by 0 at a = 1e-300
-    [("pois-logistic", 1e300), ("logit-convex", 1e-300)],
+    # curve divides 0 by 0 at a = 1e-300; exp(s / 0.01) overflows to inf
+    [("pois-logistic", 1e300), ("logit-convex", 1e-300), ("pois-exp", 0.01)],
 )
 def test_power_study_rejects_an_infeasible_cell_before_any_replicate(
     scenario, param, monkeypatch, tmp_path

@@ -13,17 +13,20 @@ Groups:
   fits   coefficients, objective, converged flag and restart count of every fit
   paths  GCV values, the selected index and sigma^2 of every path
   tests  deltas, their covariance, t, statistic, critical value, p-value
-         and decision of every test
+         and decision of every test, and the linear reference's delta_inf
+         and influence row
   power  the power CSV at threads 1 and at threads 2
-  cli    result.json, delta_vs_lambda.csv and ghat.csv of four `jensen` runs
+  cli    result.json, delta_vs_lambda.csv and ghat.csv of six `jensen` runs
 
-Inputs (all seeded; one run takes about 45 s on two cores):
+Inputs (all seeded; one run takes about 30-45 s on two cores):
   gauss-sqrt, sigma 0.05, n 2000, seed 0, replicates 0-5, sign test
   logit-convex, a 8, n 1000, seed 0, replicates 0-2, sign and vs-linear tests
   pois-logistic, n 300, a = 2, 8, 16, seed 0-2, 8 replicates each: sign tests
       of every replicate, and the three cells as one power study
   the CLI's gaussian-log, poisson, logit and vs-linear runs on CSVs drawn
-      from the catalog (the logit data with one extra `a_` covariate)
+      from the catalog (the logit data with one extra `a_` covariate), and
+      the logit and vs-linear runs again with `--extra-placement outside`,
+      whose paired evaluation sets carry nonzero offsets
 """
 
 from __future__ import annotations
@@ -100,7 +103,9 @@ def _library_runs(dig):
     for i in range(3):
         data, path = path_of("bernoulli_logit", *gen_dataset(logit, i))
         dig.test(jensen_test(path, direction="test_positive", seed=i))
-        dig.test(alternative_null_test(path, linear_logistic_reference(data), seed=i))
+        ref = linear_logistic_reference(data)
+        dig.values("tests", ref.delta_inf, ref.influence_row)
+        dig.test(alternative_null_test(path, ref, seed=i))
 
     cells = [
         ScenarioConfig("pois-logistic", n=300, param=a, n_replicates=POWER_REPLICATES, seed=i)
@@ -143,6 +148,8 @@ def _cli_runs(dig, tmp):
         ("poisson", "pois.csv", []),
         ("logit", "logit.csv", []),
         ("logit", "logit.csv", ["--direction", "vs-linear"]),
+        ("logit", "logit.csv", ["--extra-placement", "outside"]),
+        ("logit", "logit.csv", ["--direction", "vs-linear", "--extra-placement", "outside"]),
     ]
     for k, (family, fname, extra) in enumerate(runs):
         out = os.path.join(tmp, f"run{k}")
