@@ -2,7 +2,7 @@
 
 Every link function in the package is represented as g(s) = phi(s) @ d for a
 fixed B-spline basis phi. This module owns basis construction, evaluation of
-the basis and its derivatives, the second-derivative penalty matrix, and the
+the basis and its derivatives, the second-derivative penalty, and the
 Fourier inner-product reduction that turns functional covariate histories
 into ordinary design columns.
 
@@ -33,6 +33,7 @@ __all__ = [
     "basis_matrix",
     "greville_abscissae",
     "penalty_matrix",
+    "penalty",
     "penalty_eigh",
     "fourier_matrix",
     "fourier_design",
@@ -257,12 +258,11 @@ def greville_abscissae(basis: SplineBasis) -> np.ndarray:
     return np.array([t[j + 1 : j + k + 1].mean() for j in range(basis.dim)])
 
 
-@functools.lru_cache(maxsize=64)
-def penalty_matrix(basis: SplineBasis) -> np.ndarray:
-    """Second-derivative penalty matrix, read-only: entry (i, j) is the
-    integral of phi_i'' * phi_j'' over the domain, by Gauss-Legendre
-    quadrature per knot span with a node count exact for the integrand, a
-    piecewise polynomial of degree 2 (degree - 2). Cached per basis."""
+@functools.lru_cache(maxsize=4)  # a path's fits share one basis or its reflection
+def _penalty_quadrature(basis: SplineBasis) -> tuple[np.ndarray, np.ndarray]:
+    """(B, w): the basis functions' second derivatives at Gauss-Legendre
+    nodes per knot span, and the node weights, with a node count exact for
+    phi_i'' * phi_j'', a piecewise polynomial of degree 2 (degree - 2)."""
     if basis.degree < 2:
         raise ValueError("second-derivative penalty needs degree >= 2")
     t = basis.knot_array
@@ -277,13 +277,29 @@ def penalty_matrix(basis: SplineBasis) -> np.ndarray:
         half = 0.5 * (b - a)
         pts.append(half * nodes + 0.5 * (a + b))
         wts.append(half * weights)
-    pts = np.concatenate(pts)
-    wts = np.concatenate(wts)
-    b2 = basis_matrix(basis, pts, 2)
+    return basis_matrix(basis, np.concatenate(pts), 2), np.concatenate(wts)
+
+
+@functools.lru_cache(maxsize=64)
+def penalty_matrix(basis: SplineBasis) -> np.ndarray:
+    """Second-derivative penalty matrix P, read-only: entry (i, j) is the
+    integral of phi_i'' * phi_j'' over the domain, B' diag(w) B by
+    `_penalty_quadrature`. Cached per basis."""
+    b2, wts = _penalty_quadrature(basis)
     entries = b2.T @ (b2 * wts[:, None])
     entries = 0.5 * (entries + entries.T)
     entries.flags.writeable = False
     return entries
+
+
+def penalty(basis: SplineBasis, d: np.ndarray) -> float:
+    """The curvature penalty d'Pd of the link g = phi @ d, summed as the
+    integral of g''^2 over P's quadrature nodes. For a near-affine d, where
+    g'' almost vanishes, this keeps the value to the rounding of g'' itself;
+    d'Pd formed from P's rounded entries is off by about eps |P| |d|^2."""
+    b2, wts = _penalty_quadrature(basis)
+    g2 = b2 @ d
+    return float(wts @ (g2 * g2))
 
 
 @functools.lru_cache(maxsize=64)

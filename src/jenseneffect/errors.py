@@ -12,7 +12,8 @@ class DegenerateIndexError(ValueError):
 
 
 class InfeasibleScenarioError(ValueError):
-    """A simulation scenario produced means outside the family's mean space."""
+    """A simulation scenario produced means outside the family's mean space,
+    or gaussian noise that overflows the responses."""
 
 
 class NumericalError(RuntimeError):

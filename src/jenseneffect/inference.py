@@ -146,8 +146,10 @@ def sigma2_hat(path: LambdaPath) -> float:
 
 def build_path(spec: ModelSpec, data: Dataset, fits: list[FitResult]) -> LambdaPath:
     """Attach GCV values, the selected index, reference weights, and (for a
-    family with a dispersion) the residual variance to a list of fits."""
-    path_warnings: list[str] = []
+    family with a dispersion) the residual variance to a list of fits. The
+    path's warnings open with each distinct fit warning once, in the order
+    first seen."""
+    path_warnings = list(dict.fromkeys(w for f in fits for w in f.warnings))
     gcvs = np.full(len(fits), np.inf)
     for k, f in enumerate(fits):
         try:

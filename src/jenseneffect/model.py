@@ -30,8 +30,8 @@ from .basis import (
     basis_for_index,
     basis_matrices,
     greville_abscissae,
+    penalty,
     penalty_eigh,
-    penalty_matrix,
 )
 from .errors import DegenerateIndexError, NumericalOverflowError
 
@@ -322,7 +322,6 @@ class _Evaluator:
         self.data = data
         self.basis = basis
         self.lam = lam
-        self.P = penalty_matrix(basis)
         self.Lam, self.U = penalty_eigh(basis)
         self.family = FAMILY_TABLE[spec.family]
         self.yresp = self.family.response(data.y)
@@ -338,16 +337,16 @@ class _Evaluator:
         """(u, E, phi0, phi1) at the index (beta_raw, gamma): the unit
         direction, the index values and the basis values and slopes there.
 
-        Only the last index asked for is kept, so a point costs one basis
-        evaluation however many of the objective, the Hessian seed and the
-        fitted values read it, and a fit holds one point's matrices at a
-        time.
+        Only the last index asked for is kept, keyed by (u, gamma), so a
+        point costs one basis evaluation however many of the objective, the
+        Hessian seed and the fitted values read it, whatever the scale of
+        beta_raw, and a fit holds one point's matrices at a time.
         """
-        key = beta_raw.tobytes() + gamma.tobytes()
+        u = beta_raw / np.linalg.norm(beta_raw)
+        key = u.tobytes() + gamma.tobytes()
         if key != self._index_key:
             # drop the previous point's matrices before allocating new ones
             self._index_key = self._index_state = None
-            u = beta_raw / np.linalg.norm(beta_raw)
             E = self.data.X @ u
             if self.inside:
                 E = E + self.data.A @ gamma
@@ -469,20 +468,27 @@ def _evaluator(spec: ModelSpec, data: Dataset, coeffs: Coefficients, lam: float)
     return ev, theta
 
 
+def _penalized(ev: _Evaluator, coeffs: Coefficients) -> tuple[float, float, np.ndarray]:
+    """(loss, loss + lambda * d'Pd, eta) at coeffs, read in ev's basis."""
+    eta = ev.link_state(coeffs.d, coeffs.beta, coeffs.gamma)[3]
+    loss, _ = ev.family.loss(eta, ev.yresp)
+    return loss, loss + ev.lam * penalty(ev.basis, coeffs.d), eta
+
+
 def objective(spec: ModelSpec, data: Dataset, coeffs: Coefficients, lam: float) -> float:
     """Penalized loss: squared error (gaussian_log) or negative log-likelihood
     (poisson, bernoulli_logit), plus lambda * d'Pd.
 
-    The loss is the family table's, as in `gradient` and the fitter. Raises
+    The loss is the family table's, as in `gradient` and the fitter, and a
+    fit's `objective` is this value at its coefficients in its basis. Raises
     NumericalOverflowError naming an offending observation where eta reaches
     the family's cap (poisson's ETA_CLIP, beyond which the table caps the
     exponential) or the loss is not finite.
     """
-    ev, theta = _evaluator(spec, data, coeffs, lam)
-    d, beta_raw, gamma = _unpack(spec, theta, ev.basis.dim)
-    if np.linalg.norm(beta_raw) == 0.0:
+    ev, _ = _evaluator(spec, data, coeffs, lam)
+    if np.linalg.norm(coeffs.beta) == 0.0:
         raise DegenerateIndexError("index coefficients are identically zero")
-    eta = ev.link_state(d, beta_raw, gamma)[3]
+    loss, value, eta = _penalized(ev, coeffs)
     # at or beyond the cap the table's loss is no longer the family's
     past = ~(eta < ev.family.eta_cap)
     if np.any(past):
@@ -490,13 +496,12 @@ def objective(spec: ModelSpec, data: Dataset, coeffs: Coefficients, lam: float) 
         raise NumericalOverflowError(
             f"objective overflows at observation {bad} (eta={eta[bad]:.6g})"
         )
-    loss, _ = ev.family.loss(eta, ev.yresp)
     if not np.isfinite(loss):
         bad = int(np.argmax(np.abs(eta)))
         raise NumericalOverflowError(
             f"objective is not finite; the largest |eta| is at observation {bad} (eta={eta[bad]:.6g})"
         )
-    return loss + lam * float(d @ ev.P @ d)
+    return value
 
 
 def gradient(spec: ModelSpec, data: Dataset, coeffs: Coefficients, lam: float) -> np.ndarray:
@@ -580,23 +585,18 @@ def _initial_coefficients(spec: ModelSpec, data: Dataset) -> tuple[Coefficients,
     return Coefficients(beta=beta0, gamma=gamma0, d=d0), basis
 
 
-def _canonicalize(spec: ModelSpec, fitres: FitResult) -> FitResult:
-    """Reflect the frame when the leading index coefficient came out
-    negative, leaving every fitted value unchanged."""
-    beta = fitres.coeffs.beta
-    lead_idx = np.nonzero(beta)[0]
+def _canonicalize(spec: ModelSpec, coeffs: Coefficients, index_values: np.ndarray, basis: SplineBasis):
+    """(coeffs, index_values, basis) in the frame with a positive leading
+    index coefficient: the given frame, or its reflection when the leading
+    coefficient came out negative, which leaves every fitted value unchanged."""
+    lead_idx = np.nonzero(coeffs.beta)[0]
     if lead_idx.size == 0:
         raise DegenerateIndexError("fitted index coefficients are identically zero")
-    if beta[lead_idx[0]] > 0:
-        return fitres
-    c = fitres.coeffs
-    gamma = -c.gamma if (spec.q > 0 and spec.extra_placement == "inside_index") else c.gamma
-    return replace(
-        fitres,
-        coeffs=Coefficients(beta=-c.beta, gamma=gamma, d=c.d[::-1].copy()),
-        index_values=-fitres.index_values,
-        basis=fitres.basis.reflected(),
-    )
+    if coeffs.beta[lead_idx[0]] > 0:
+        return coeffs, index_values, basis
+    gamma = -coeffs.gamma if (spec.q > 0 and spec.extra_placement == "inside_index") else coeffs.gamma
+    reflected = Coefficients(beta=-coeffs.beta, gamma=gamma, d=coeffs.d[::-1].copy())
+    return reflected, -index_values, basis.reflected()
 
 
 def fit(spec: ModelSpec, data: Dataset, lam: float, init: Coefficients | None = None) -> FitResult:
@@ -663,24 +663,25 @@ def fit(spec: ModelSpec, data: Dataset, lam: float, init: Coefficients | None = 
     if np.linalg.norm(beta_raw) == 0.0:
         raise DegenerateIndexError("optimizer collapsed the index direction to zero")
     beta, E, _, eta, _ = ev.link_state(d, beta_raw, gamma)
-    mu = ev.family.mean(eta)
-
-    result = FitResult(
+    coeffs, E, frame = _canonicalize(
+        spec, Coefficients(beta=beta, gamma=gamma.copy(), d=d.copy()), E, basis
+    )
+    framed = ev if frame is basis else _Evaluator(spec, data, frame, lam)
+    return FitResult(
         lam=float(lam),
         family=spec.family,
-        coeffs=Coefficients(beta=beta, gamma=gamma.copy(), d=d.copy()),
+        coeffs=coeffs,
         index_values=E,
         eta=eta,
-        mu_or_pi=mu,
+        mu_or_pi=ev.family.mean(eta),
         response=ev.yresp,
-        objective=float(best_value),
+        objective=_penalized(framed, coeffs)[1],
         converged=converged,
         n_restarts_used=restarts,
-        basis=basis,
+        basis=frame,
         warnings=tuple(warnings),
         raw_coeffs=Coefficients(beta=beta_raw.copy(), gamma=gamma.copy(), d=d.copy()),
     )
-    return _canonicalize(spec, result)
 
 
 def fit_path(spec: ModelSpec, data: Dataset):

@@ -47,6 +47,9 @@ BETA.setflags(write=False)
 TRUE_DELTA_DRAWS = 200_000
 TRUE_DELTA_BLOCK = 8192
 
+# a standard normal draw exceeds 8.3 in size with probability below 1e-16
+NOISE_Z_MAX = 8.3
+
 
 def _logistic_plateau(s, a):
     return 30.0 / (1.0 + np.exp(-s / a)) - 15.0
@@ -181,6 +184,12 @@ def _curve_values(config: ScenarioConfig, s: np.ndarray) -> np.ndarray:
             f"scenario {config.scenario!r}: mean {means[k]:.6g} at index s={s[k]:.6g} "
             "is outside the family's mean space"
         )
+    if entry.family == "gaussian_log" and (
+        math.log(means.max()) + config.param_ * NOISE_Z_MAX >= math.log(np.finfo(float).max)
+    ):
+        raise InfeasibleScenarioError(
+            f"scenario {config.scenario!r}: sigma={config.param_:.6g} overflows the responses"
+        )
     return means
 
 
@@ -250,32 +259,16 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _run_jobs(jobs, alpha: float) -> list:
-    """Run (config, replicate) jobs in order. Per job: the outcome, either
-    (True, reject) or (False, failure text), and the warnings it raised as
-    (category, text, filename, lineno), recorded under the current filters."""
-    results = []
-    for config, r in jobs:
-        with _warnings.catch_warnings(record=True) as caught:
-            try:
-                outcome = (True, _run_replicate(config, r, alpha))
-            except (NumericalError, ValueError) as exc:
-                outcome = (False, str(exc))
-        raised = [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
-        results.append((outcome, raised))
-    return results
-
-
-def _child(conn, jobs, alpha: float) -> None:
-    """Body of a forked worker: send (True, results) or (False, exception).
-    If even the exception does not pickle, the worker exits without sending
-    and the caller reports its exit code."""
-    try:
-        conn.send((True, _run_jobs(jobs, alpha)))
-    except Exception as exc:
-        conn.send((False, exc))
-    finally:
-        conn.close()
+def _run_job(config: ScenarioConfig, replicate: int, alpha: float):
+    """Run one replicate. Returns its outcome, either (True, reject) or
+    (False, failure text), and the warnings it raised as (category, text,
+    filename, lineno), recorded under the current filters."""
+    with _warnings.catch_warnings(record=True) as caught:
+        try:
+            outcome = (True, _run_replicate(config, replicate, alpha))
+        except (NumericalError, ValueError) as exc:
+            outcome = (False, str(exc))
+    return outcome, [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
 
 
 def power_study(
@@ -287,14 +280,16 @@ def power_study(
 
     Each cell's true_delta is computed first, so an infeasible cell raises
     InfeasibleScenarioError before any replicate runs. The cells'
-    replicates, listed in order as jobs, are dealt round-robin to W =
-    min(threads, jobs, usable CPUs) workers: the calling process runs jobs
-    0, W, 2W, ... and W - 1 forked children run the rest, each sending its
-    outcomes and warnings back over a pipe. Replicates are seeded
-    individually and rows are built in replicate order, so the table, the
-    failures and the re-issued warnings do not depend on W. Where fork is
-    unavailable W is 1. Failed replicates are recorded on the row (and
-    warned about), never silently dropped.
+    replicates, listed in order as jobs, go to W = min(threads, jobs, usable
+    CPUs) workers: the calling process runs jobs 0, W, 2W, ... and a pool of
+    W - 1 forked children takes the rest as each comes free. Replicates are
+    seeded individually and rows are built in replicate order, so the table,
+    the failures and the re-issued warnings do not depend on W. Where fork
+    is unavailable W is 1 and no pool starts. Failed replicates are recorded
+    on the row (and warned about), never silently dropped. Other exceptions
+    propagate: a child's after the caller's share, the caller's once the
+    children's pending jobs are cancelled and their running ones end. A
+    child that dies raises BrokenProcessPool, a RuntimeError.
     """
     if not 0.0 < alpha <= 0.5:
         raise ValueError("alpha must lie in (0, 0.5]")
@@ -303,44 +298,28 @@ def power_study(
     deltas = [true_delta(config) for config in configs]
     # imported here, so that fitting alone does not load multiprocessing
     import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
-    jobs = [(config, r) for config in configs for r in range(config.n_replicates)]
+    jobs = [(config, r, alpha) for config in configs for r in range(config.n_replicates)]
     if not jobs:
         return PowerTable(rows=())
     workers = min(threads, len(jobs), _usable_cpus())
     if "fork" not in multiprocessing.get_all_start_methods():
         workers = 1  # the caller runs every job
     fork = multiprocessing.get_context("fork") if workers > 1 else None
+    pool = ProcessPoolExecutor(workers - 1, mp_context=fork) if fork else None
     results = [None] * len(jobs)
-    children = []
     try:
-        for w in range(1, workers):
-            recv_end, send_end = fork.Pipe(duplex=False)
-            proc = fork.Process(target=_child, args=(send_end, jobs[w::workers], alpha))
-            proc.start()
-            send_end.close()
-            children.append((proc, recv_end))
-        results[0::workers] = _run_jobs(jobs[0::workers], alpha)
-        for w, (proc, conn) in enumerate(children, start=1):
-            try:
-                ok, payload = conn.recv()
-            except EOFError:
-                proc.join()
-                raise RuntimeError(
-                    f"power worker {w} exited with code {proc.exitcode} before "
-                    "sending its results"
-                ) from None
-            if not ok:
-                raise payload
-            results[w::workers] = payload
-    except BaseException:
-        for proc, _ in children:
-            proc.terminate()
-        raise
+        # submitted before the caller's share, so the pool forks from a
+        # process with one thread; with W = 1 nothing is submitted
+        futures = {i: pool.submit(_run_job, *job) for i, job in enumerate(jobs) if i % workers}
+        for i in range(0, len(jobs), workers):
+            results[i] = _run_job(*jobs[i])
+        for i, future in futures.items():
+            results[i] = future.result()
     finally:
-        for proc, conn in children:
-            conn.close()
-            proc.join()
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
     registry: dict = {}  # a "default" filter shows each (text, category, line) once per call
     rows = []

@@ -134,6 +134,17 @@ def test_jensen_default_grid_is_library_default(jensen_run, tmp_path, capsys):
     assert bundle["model"]["lambda_grid"] == list(default_lambda_grid())
 
 
+def test_jensen_reports_a_fit_warning_once(tmp_path, capsys):
+    # every fit of a 20-row path has fewer observations than basis functions
+    data = tmp_path / "small.csv"
+    write_gaussian_csv(data, n=20)
+    out = tmp_path / "out"
+    assert main(["jensen", "--family", "gaussian-log", "--data", str(data), "--out", str(out)]) == 0
+    bundle = json.loads((out / "result.json").read_text(encoding="utf-8"))
+    note = "rank-deficient link system: n=20 observations for 25 basis functions"
+    assert bundle["warnings"].count(note) == 1
+
+
 def test_jensen_empty_file_exit2(tmp_path, capsys):
     empty = tmp_path / "empty.csv"
     empty.write_text("", encoding="utf-8")
@@ -451,6 +462,8 @@ def test_power_empty_param_list_exit2(tmp_path, capsys):
         (["--scenario", "logit-convex", "--param", "1e-300"], "mean space"),
         # exp(s / 0.01) overflows to an infinite mean
         (["--scenario", "pois-exp", "--param", "0.01"], "mean space"),
+        # means * exp(400 z) overflows once |z| reaches about 1.8
+        (["--scenario", "gauss-exp", "--param", "400"], "overflows the responses"),
     ],
 )
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")

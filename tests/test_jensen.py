@@ -5,6 +5,7 @@ against finite differences, and the simulated critical values against
 closed-form normal quantiles for sizes one and two.
 """
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -44,6 +45,7 @@ from jenseneffect.model import (
     Dataset,
     FitResult,
     ModelSpec,
+    _initial_coefficients,
     default_lambda_grid,
     fit as fit_model,
     fit_path,
@@ -377,8 +379,6 @@ def test_delta_cov_requires_matching_lengths(sqrt_path):
 def test_delta_path_invariant_under_frame_reflection(sqrt_path):
     # reflecting one fit (mirrored basis, negated index, reversed d) changes
     # nothing observable: same deltas, same covariance, same statistic
-    import dataclasses
-
     path, data = sqrt_path
     c = path.fits[2].coeffs
     mirrored = dataclasses.replace(
@@ -403,6 +403,30 @@ def test_delta_path_invariant_under_frame_reflection(sqrt_path):
     flipped = jensen_test(mixed, seed=3)
     assert flipped.statistic == pytest.approx(base.statistic, rel=1e-9)
     assert flipped.reject == base.reject
+
+
+def test_fit_path_reflects_a_fit_into_the_mirrored_frame():
+    # on this replicate the optimizer ends with a negative leading index
+    # coefficient at three grid points; the fit is stored in the reflected
+    # frame, and its fitted values and delta are those of its raw frame
+    X, y = gen_dataset(ScenarioConfig("pois-logistic", n=100, param=2.0, seed=0), 2)
+    spec = ModelSpec(family="poisson", p=5)
+    data = Dataset(y=y, X=X)
+    path_basis = _initial_coefficients(spec, data)[1]
+    path = fit_path(spec, data)
+    reflected = [f for f in path.fits if f.basis != path_basis]
+    assert [round(f.lam, 1) for f in reflected] == [88.6, 206.9, 483.3]
+    for f in reflected:
+        assert f.basis == path_basis.reflected()
+        assert f.coeffs.beta[0] > 0
+        eta = basis_matrix(f.basis, f.index_values) @ f.coeffs.d
+        np.testing.assert_allclose(eta, f.eta, rtol=1e-12, atol=0.0)
+        raw = dataclasses.replace(
+            f, coeffs=f.raw_coeffs, index_values=-f.index_values, basis=path_basis
+        )
+        assert delta_hat(f, make_eval_set(spec, data, f)) == pytest.approx(
+            delta_hat(raw, make_eval_set(spec, data, raw)), rel=1e-12, abs=0.0
+        )
 
 
 def test_delta_cov_degenerate_variance():

@@ -381,6 +381,21 @@ def test_fit_two_stage_monotone_improvement(rng):
     assert objective(framed, data, res.coeffs, 0.5) == pytest.approx(res.objective, rel=1e-10)
 
 
+@pytest.mark.parametrize(
+    "scenario, family, n, param",
+    [("gauss-sqrt", "gaussian_log", 2000, 0.05), ("logit-convex", "bernoulli_logit", 1000, 8.0)],
+)
+def test_fit_objective_is_the_objective_at_its_coefficients(scenario, family, n, param):
+    # the fitter minimizes in penalty-eigenbasis coordinates, where the
+    # penalty's rounding differs from d'Pd by up to 1e-5 relative at the
+    # stiff end; what a fit reports is `objective` at what it returns
+    X, y = gen_dataset(ScenarioConfig(scenario, n=n, param=param, seed=0), 0)
+    data = Dataset(y=y, X=X)
+    spec = ModelSpec(family=family, p=5)
+    for f in fit_path(spec, data).fits:
+        assert objective(replace(spec, basis=f.basis), data, f.coeffs, f.lam) == f.objective
+
+
 def test_fit_flags_ill_posed_regime():
     rng = np.random.default_rng(9)
     X = rng.uniform(0.0, 0.5, size=(10, 2))

@@ -330,6 +330,30 @@ def test_power_study_reraises_a_worker_error(monkeypatch, tmp_path):
     assert multiprocessing.active_children() == []
 
 
+def test_power_study_raises_when_a_worker_dies(monkeypatch, tmp_path):
+    monkeypatch.setattr(simlab, "_usable_cpus", lambda: 2)
+    read = _record_pids(monkeypatch, tmp_path, fail=lambda r: os._exit(3) if r == 1 else None)
+    cfg = ScenarioConfig(scenario="gauss-sqrt", n=150, n_replicates=3, seed=5)
+    with pytest.raises(RuntimeError):
+        power_study([cfg], alpha=0.05, threads=2)
+    assert any(r == 1 and pid != os.getpid() for r, pid in read())
+    assert multiprocessing.active_children() == []
+
+
+def test_power_study_reraises_a_caller_error_and_stops_the_workers(monkeypatch, tmp_path):
+    monkeypatch.setattr(simlab, "_usable_cpus", lambda: 2)
+    read = _record_pids(
+        monkeypatch, tmp_path, fail=lambda r: RuntimeError("boom in 0") if r == 0 else None
+    )
+    cfg = ScenarioConfig(scenario="gauss-sqrt", n=150, n_replicates=10, seed=5)
+    with pytest.raises(RuntimeError, match="boom in 0"):
+        power_study([cfg], alpha=0.05, threads=2)
+    assert multiprocessing.active_children() == []
+    ran = dict(read())
+    assert ran[0] == os.getpid()
+    assert 9 not in ran
+
+
 def test_power_study_reissues_a_worker_warning(monkeypatch, tmp_path):
     monkeypatch.setattr(simlab, "_usable_cpus", lambda: 2)
     real = simlab._run_replicate
@@ -354,8 +378,9 @@ def test_power_study_reissues_a_worker_warning(monkeypatch, tmp_path):
 @pytest.mark.parametrize(
     "scenario, param",
     # the plateau curve is exactly 0 at a = 1e300; the convex probability
-    # curve divides 0 by 0 at a = 1e-300; exp(s / 0.01) overflows to inf
-    [("pois-logistic", 1e300), ("logit-convex", 1e-300), ("pois-exp", 0.01)],
+    # curve divides 0 by 0 at a = 1e-300; exp(s / 0.01) overflows to inf;
+    # the gaussian noise factor exp(400 z) overflows once |z| reaches about 1.8
+    [("pois-logistic", 1e300), ("logit-convex", 1e-300), ("pois-exp", 0.01), ("gauss-exp", 400.0)],
 )
 def test_power_study_rejects_an_infeasible_cell_before_any_replicate(
     scenario, param, monkeypatch, tmp_path
