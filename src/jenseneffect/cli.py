@@ -186,6 +186,8 @@ def _parse_lambda_grid(text: str | None) -> tuple[float, ...]:
         raise ValueError("lambda grid must look like LO:HI:COUNT with numeric parts") from None
     if not (lo > 0 and hi >= lo and count >= 1):
         raise ValueError("lambda grid needs 0 < LO <= HI and COUNT >= 1")
+    if count == 1 and hi != lo:
+        raise ValueError(f"lambda grid {text!r} has one point, so it needs LO == HI")
     return default_lambda_grid(lo, hi, count)
 
 

@@ -311,10 +311,10 @@ class _Evaluator:
     near-affine d at the top of the default grid, which stalls any line
     search long before the gradient tolerance.
 
-    beta is renormalized inside the evaluation; the returned beta gradient
-    is the tangent-projected derivative of the renormalized objective, so
-    finite differences of the objective agree with the gradient
-    coordinatewise.
+    beta is renormalized inside the evaluation, by the norm `at_index`
+    takes once per point; the returned beta gradient is the
+    tangent-projected derivative of the renormalized objective, so finite
+    differences of the objective agree with the gradient coordinatewise.
     """
 
     def __init__(self, spec: ModelSpec, data: Dataset, basis: SplineBasis, lam: float):
@@ -334,15 +334,20 @@ class _Evaluator:
         self._index_state: tuple[np.ndarray, ...] | None = None
 
     def at_index(self, beta_raw: np.ndarray, gamma: np.ndarray):
-        """(u, E, phi0, phi1) at the index (beta_raw, gamma): the unit
-        direction, the index values and the basis values and slopes there.
+        """(|beta_raw|, u, E, phi0, phi1) at the index (beta_raw, gamma): the
+        norm and unit direction of beta_raw, the index values and the basis
+        values and slopes there. A collapsed direction (|beta_raw| below 1e-12
+        or not finite) raises DegenerateIndexError before any basis call.
 
         Only the last index asked for is kept, keyed by (u, gamma), so a
         point costs one basis evaluation however many of the objective, the
         Hessian seed and the fitted values read it, whatever the scale of
         beta_raw, and a fit holds one point's matrices at a time.
         """
-        u = beta_raw / np.linalg.norm(beta_raw)
+        norm = np.linalg.norm(beta_raw)
+        if norm < 1e-12 or not np.isfinite(norm):
+            raise DegenerateIndexError(f"index direction has collapsed (|beta| = {norm:.3g})")
+        u = beta_raw / norm
         key = u.tobytes() + gamma.tobytes()
         if key != self._index_key:
             # drop the previous point's matrices before allocating new ones
@@ -352,58 +357,45 @@ class _Evaluator:
                 E = E + self.data.A @ gamma
             phi0, phi1 = basis_matrices(self.basis, E, (0, 1))
             self._index_key, self._index_state = key, (u, E, phi0, phi1)
-        return self._index_state
+        return (norm, *self._index_state)
 
     def link_state(self, d: np.ndarray, beta_raw: np.ndarray, gamma: np.ndarray):
-        """(u, E, phi0, eta, g') at the point (d, beta_raw, gamma): `at_index`'s
-        direction, index values and basis values, the linear predictor, and
-        the link slope, zero wherever E is clamped to the basis domain, since
-        the index only moves eta through g where E is unclamped."""
-        u, E, phi0, phi1 = self.at_index(beta_raw, gamma)
+        """(|beta_raw|, u, E, phi0, eta, g') at the point (d, beta_raw, gamma):
+        the first four of `at_index`, the linear predictor, and the link slope,
+        zero wherever E is clamped to the basis domain, since the index only
+        moves eta through g where E is unclamped."""
+        norm, u, E, phi0, phi1 = self.at_index(beta_raw, gamma)
         eta = phi0 @ d + self.data.A @ gamma if self.outside else phi0 @ d
         gprime = (phi1 @ d) * ((E >= self.basis.lo) & (E <= self.basis.hi))
-        return u, E, phi0, eta, gprime
-
-    def _core(self, d, beta_raw, gamma):
-        """Loss value and its gradient pieces, penalty excluded.
-
-        Returns (loss, loss_grad_d, grad_beta, grad_gamma) or None when the
-        index direction has collapsed.
-        """
-        spec, data = self.spec, self.data
-        norm = np.linalg.norm(beta_raw)
-        if norm < 1e-12 or not np.isfinite(norm):
-            return None
-        u, _, phi0, eta, gprime = self.link_state(d, beta_raw, gamma)
-
-        loss, v = self.family.loss(eta, self.yresp)
-        grad_d = phi0.T @ v
-        w = v * gprime
-        grad_u = self.data.X.T @ w
-        grad_beta = (grad_u - u * (u @ grad_u)) / norm
-        if spec.q > 0:
-            grad_gamma = data.A.T @ (w if self.inside else v)
-        else:
-            grad_gamma = np.zeros(0)
-        return loss, grad_d, grad_beta, grad_gamma
+        return norm, u, E, phi0, eta, gprime
 
     def value_and_grad_eig(self, zeta: np.ndarray):
-        """Objective and gradient in penalty-eigenbasis coordinates.
+        """Objective and gradient in penalty-eigenbasis coordinates; 1e12 and
+        a zero gradient where the index direction has collapsed.
 
-        Each point is computed once; a repeat returns the stored value and a
+        Each point is computed once; a repeat, such as `fit`'s look at the
+        gradient where a BFGS run would start, returns the stored value and a
         copy of the stored gradient, which the caller may modify.
         """
         key = zeta.tobytes()
         if key not in self._values:
             c, beta_raw, gamma = _unpack(self.spec, zeta, self.basis.dim)
-            core = self._core(self.U @ c, beta_raw, gamma)
-            if core is None:
+            try:
+                norm, u, _, phi0, eta, gprime = self.link_state(self.U @ c, beta_raw, gamma)
+            except DegenerateIndexError:
                 self._values[key] = 1e12, np.zeros_like(zeta)
             else:
-                loss, grad_d, grad_beta, grad_gamma = core
+                loss, v = self.family.loss(eta, self.yresp)
+                w = v * gprime
+                grad_u = self.data.X.T @ w
+                blocks = [
+                    self.U.T @ (phi0.T @ v) + 2.0 * self.lam * self.Lam * c,
+                    (grad_u - u * (u @ grad_u)) / norm,
+                ]
+                if self.spec.q > 0:
+                    blocks.append(self.data.A.T @ (w if self.inside else v))
                 value = loss + self.lam * float(self.Lam @ (c * c))
-                grad_c = self.U.T @ grad_d + 2.0 * self.lam * self.Lam * c
-                self._values[key] = value, np.concatenate([grad_c, grad_beta, grad_gamma])
+                self._values[key] = value, np.concatenate(blocks)
         value, grad = self._values[key]
         return value, grad.copy()
 
@@ -425,9 +417,7 @@ class _Evaluator:
         """
         spec, data = self.spec, self.data
         c, beta_raw, gamma = _unpack(spec, zeta, self.basis.dim)
-        d = self.U @ c
-        norm = np.linalg.norm(beta_raw)
-        u, _, phi0, eta, gprime = self.link_state(d, beta_raw, gamma)
+        norm, u, _, phi0, eta, gprime = self.link_state(self.U @ c, beta_raw, gamma)
         q = self.family.curvature(eta)
         tangent = (np.eye(spec.p) - np.outer(u, u)) / norm
         blocks = [phi0 @ self.U, gprime[:, None] * (data.X @ tangent)]
@@ -464,13 +454,14 @@ def _evaluator(spec: ModelSpec, data: Dataset, coeffs: Coefficients, lam: float)
     if coeffs.d.size != spec.basis.dim or coeffs.beta.size != spec.p or coeffs.gamma.size != spec.q:
         raise ValueError("coefficient block sizes do not match spec.basis.dim, spec.p, spec.q")
     ev = _Evaluator(spec, data, spec.basis, lam)
+    ev.at_index(coeffs.beta, coeffs.gamma)  # raises on a collapsed direction; kept for the caller
     theta = np.concatenate([coeffs.d, coeffs.beta, coeffs.gamma])
     return ev, theta
 
 
 def _penalized(ev: _Evaluator, coeffs: Coefficients) -> tuple[float, float, np.ndarray]:
     """(loss, loss + lambda * d'Pd, eta) at coeffs, read in ev's basis."""
-    eta = ev.link_state(coeffs.d, coeffs.beta, coeffs.gamma)[3]
+    eta = ev.link_state(coeffs.d, coeffs.beta, coeffs.gamma)[4]
     loss, _ = ev.family.loss(eta, ev.yresp)
     return loss, loss + ev.lam * penalty(ev.basis, coeffs.d), eta
 
@@ -483,11 +474,10 @@ def objective(spec: ModelSpec, data: Dataset, coeffs: Coefficients, lam: float) 
     fit's `objective` is this value at its coefficients in its basis. Raises
     NumericalOverflowError naming an offending observation where eta reaches
     the family's cap (poisson's ETA_CLIP, beyond which the table caps the
-    exponential) or the loss is not finite.
+    exponential) or the loss is not finite, and DegenerateIndexError where
+    |beta| is below 1e-12 or not finite.
     """
     ev, _ = _evaluator(spec, data, coeffs, lam)
-    if np.linalg.norm(coeffs.beta) == 0.0:
-        raise DegenerateIndexError("index coefficients are identically zero")
     loss, value, eta = _penalized(ev, coeffs)
     # at or beyond the cap the table's loss is no longer the family's
     past = ~(eta < ev.family.eta_cap)
@@ -506,7 +496,8 @@ def objective(spec: ModelSpec, data: Dataset, coeffs: Coefficients, lam: float) 
 
 def gradient(spec: ModelSpec, data: Dataset, coeffs: Coefficients, lam: float) -> np.ndarray:
     """Analytic gradient of `objective`, ordered [d, beta, gamma], with the
-    beta block projected onto the unit-sphere tangent."""
+    beta block projected onto the unit-sphere tangent. Raises what
+    `objective` raises for a collapsed index direction."""
     ev, theta = _evaluator(spec, data, coeffs, lam)
     value, grad = ev.value_and_grad_eig(ev.to_eig(theta))
     if not np.isfinite(value):
@@ -602,7 +593,10 @@ def _canonicalize(spec: ModelSpec, coeffs: Coefficients, index_values: np.ndarra
 def fit(spec: ModelSpec, data: Dataset, lam: float, init: Coefficients | None = None) -> FitResult:
     """Minimize the penalized objective at one lambda by BFGS, run twice with
     the second run warm-started from the first (plus one more restart if the
-    convergence test still fails).
+    convergence test still fails). A run that cannot move, because its start
+    already meets BFGS's gradient tolerance, is not started; it would return
+    its start. `n_restarts_used` counts the attempts after the first, started
+    or not.
 
     Without `init` the fit starts from the best linear model, in spec.basis
     or, when that is None, in a basis built around the starting index. An
@@ -628,41 +622,38 @@ def fit(spec: ModelSpec, data: Dataset, lam: float, init: Coefficients | None = 
         )
 
     ev = _Evaluator(spec, data, basis, lam)
-    zeta = ev.to_eig(np.concatenate([init.d, init.beta, init.gamma]))
-    best_value, _ = ev.value_and_grad_eig(zeta)
-    best_zeta = zeta
+    best_zeta = ev.to_eig(np.concatenate([init.d, init.beta, init.gamma]))
+    best_value, grad = ev.value_and_grad_eig(best_zeta)
     converged = False
-    restarts = 0
-    for attempt in range(1 + MAX_RESTARTS):
+    for restarts in range(1 + MAX_RESTARTS):
         # inf-norm bound implying the 2-norm target for this neighborhood
-        gtol = GRAD_TOL * (1.0 + abs(best_value)) / (2.0 * np.sqrt(zeta.size))
-        res = minimize(
-            ev.value_and_grad_eig,
-            best_zeta,
-            jac=True,
-            method="BFGS",
-            options={
-                "gtol": gtol,
-                "maxiter": 400,
-                "hess_inv0": ev.gauss_newton_hess_inv(best_zeta),
-            },
-        )
+        gtol = GRAD_TOL * (1.0 + abs(best_value)) / (2.0 * np.sqrt(best_zeta.size))
         prev_value = best_value
-        if np.isfinite(res.fun) and res.fun <= best_value:
-            best_zeta, best_value = res.x, float(res.fun)
-        if attempt > 0:
-            restarts += 1
-        _, grad_now = ev.value_and_grad_eig(best_zeta)
-        grad_ok = np.linalg.norm(grad_now) < GRAD_TOL * (1.0 + abs(best_value))
-        obj_ok = attempt > 0 and abs(prev_value - best_value) < OBJ_REL_TOL * (1.0 + abs(best_value))
-        if attempt > 0 and (grad_ok or obj_ok):
+        # BFGS takes no step while the inf-norm of the gradient is not above
+        # gtol, and returns its start; so start no run there
+        if np.max(np.abs(grad)) > gtol:
+            res = minimize(
+                ev.value_and_grad_eig,
+                best_zeta,
+                jac=True,
+                method="BFGS",
+                options={
+                    "gtol": gtol,
+                    "maxiter": 400,
+                    "hess_inv0": ev.gauss_newton_hess_inv(best_zeta),
+                },
+            )
+            if np.isfinite(res.fun) and res.fun <= best_value:
+                best_zeta, best_value = res.x, float(res.fun)
+                _, grad = ev.value_and_grad_eig(best_zeta)
+        grad_ok = np.linalg.norm(grad) < GRAD_TOL * (1.0 + abs(best_value))
+        obj_ok = abs(prev_value - best_value) < OBJ_REL_TOL * (1.0 + abs(best_value))
+        if restarts > 0 and (grad_ok or obj_ok):
             converged = True
             break
 
     d, beta_raw, gamma = _unpack(spec, ev.from_eig(best_zeta), basis.dim)
-    if np.linalg.norm(beta_raw) == 0.0:
-        raise DegenerateIndexError("optimizer collapsed the index direction to zero")
-    beta, E, _, eta, _ = ev.link_state(d, beta_raw, gamma)
+    _, beta, E, _, eta, _ = ev.link_state(d, beta_raw, gamma)
     coeffs, E, frame = _canonicalize(
         spec, Coefficients(beta=beta, gamma=gamma.copy(), d=d.copy()), E, basis
     )

@@ -189,7 +189,7 @@ def test_jensen_vs_linear_non_logit_exit2(gaussian_csv, capsys):
 
 
 def test_jensen_bad_lambda_grid_exit2(gaussian_csv, capsys):
-    for grid in ("1e-4:1e6", "0:1:5", "1:2:zero"):
+    for grid in ("1e-4:1e6", "0:1:5", "1:2:zero", "1:100:1"):
         rc = main(
             [
                 "jensen",
@@ -202,6 +202,7 @@ def test_jensen_bad_lambda_grid_exit2(gaussian_csv, capsys):
             ]
         )
         assert rc == 2, grid
+    assert "'1:100:1' has one point" in capsys.readouterr().err
 
 
 def test_jensen_unknown_family_usage_error(gaussian_csv):
@@ -425,6 +426,20 @@ def test_power_unknown_scenario_exit2(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "gauss-exp" in err and "pois-logistic" in err
+
+
+def test_power_exit3_when_every_replicate_fails(tmp_path, capsys, monkeypatch):
+    def failing(config, replicate, alpha):
+        raise NumericalError(f"injected at {replicate}")
+
+    monkeypatch.setattr("jenseneffect.simlab._run_replicate", failing)
+    out = tmp_path / "p.csv"
+    argv = ["power", "--scenario", "gauss-sqrt", "--n", "150", "--replicates", "2", "--out", str(out)]
+    with pytest.warns(RuntimeWarning, match="2 of 2 replicates failed"):
+        assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "every replicate failed" in err
+    assert not out.exists()
 
 
 def test_power_bad_list_exit2(tmp_path, capsys):

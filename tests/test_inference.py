@@ -381,3 +381,16 @@ def test_build_path_raises_when_gcv_everywhere_undefined():
     data = Dataset(y=np.exp(f.response), X=f.index_values[:, None])
     with pytest.raises(NumericalError):
         build_path(spec, data, [f])
+
+
+def test_build_path_keeps_a_gaussian_path_whose_sigma2_is_refused(monkeypatch):
+    path, data = gaussian_path(n=120)
+    # tr S = n and tr SS' = 0 make the residual df n - 2n - p negative
+    monkeypatch.setattr("jenseneffect.inference.effective_df", lambda fit: (float(fit.eta.size), 0.0))
+    refused = build_path(path.spec, data, list(path.fits))
+    assert refused.sigma2 is None
+    assert refused.warnings[-1].startswith("residual variance unavailable: residual degrees of freedom")
+    np.testing.assert_array_equal(refused.gcv, path.gcv)
+    assert refused.selected == path.selected
+    with pytest.raises(DegreesOfFreedomError, match="sigma2"):
+        jensen_test(refused)

@@ -219,6 +219,16 @@ def test_objective_rejects_negative_lambda(rng):
         objective(spec, data, coeffs, -1.0)
 
 
+@pytest.mark.parametrize("scale", [0.0, 1e-13, np.inf])
+def test_objective_and_gradient_reject_a_collapsed_direction(scale, rng):
+    spec, data, coeffs = small_instance("poisson", rng)
+    collapsed = Coefficients(beta=coeffs.beta * scale, gamma=coeffs.gamma, d=coeffs.d)
+    with pytest.raises(DegenerateIndexError):
+        objective(spec, data, collapsed, 0.7)
+    with pytest.raises(DegenerateIndexError):
+        gradient(spec, data, collapsed, 0.7)
+
+
 # --- gradient ---------------------------------------------------------------
 
 
@@ -308,6 +318,34 @@ def test_evaluator_returns_a_fresh_gradient_for_a_repeated_point(rng, basis_call
     assert again == value
     np.testing.assert_array_equal(grad_again, expected)
     assert len(basis_calls) == 1
+
+
+def test_evaluator_reads_a_collapsed_direction_as_a_high_flat_point(rng, basis_calls):
+    spec, data, coeffs = small_instance("poisson", rng, q=2)
+    ev = _Evaluator(spec, data, spec.basis, 0.7)
+    zeta = ev.to_eig(np.concatenate([coeffs.d, np.zeros(spec.p), coeffs.gamma]))
+    for _ in range(2):
+        value, grad = ev.value_and_grad_eig(zeta)
+        assert value == 1e12
+        np.testing.assert_array_equal(grad, np.zeros_like(zeta))
+        grad += 1.0  # the next call must not see this
+    assert basis_calls == []
+
+
+def test_fit_starts_no_bfgs_run_at_a_stationary_point(monkeypatch):
+    runs = []
+    real = model_module.minimize
+    monkeypatch.setattr(model_module, "minimize", lambda *a, **k: runs.append(1) or real(*a, **k))
+    X, y = gen_dataset(ScenarioConfig("pois-logistic", n=100, param=8.0, seed=0), 0)
+    spec = ModelSpec(family="poisson", p=X.shape[1], lambda_grid=(1.0, 1e3))
+    data = Dataset(y=y, X=X)
+    fit_spec = replace(spec, basis=_initial_coefficients(spec, data)[1])  # the raw frame
+    for f in fit_path(spec, data).fits:
+        runs.clear()
+        again = fit(fit_spec, data, f.lam, init=f.raw_coeffs)
+        # the second attempt is counted as a restart though it starts no run
+        assert (len(runs), again.converged, again.n_restarts_used) == (0, True, 1)
+        assert again.objective == pytest.approx(f.objective, rel=1e-12, abs=0)
 
 
 def test_fit_evaluates_the_basis_once_per_index(basis_calls, monkeypatch):

@@ -318,6 +318,18 @@ def test_power_study_failures_match_across_worker_counts(monkeypatch, tmp_path):
     assert rows[0] == rows[1]
 
 
+def test_power_study_raises_when_every_replicate_fails(monkeypatch, tmp_path):
+    monkeypatch.setattr(simlab, "_usable_cpus", lambda: 2)
+    read = _record_pids(monkeypatch, tmp_path, fail=lambda r: simlab.NumericalError(f"injected at {r}"))
+    cfg = ScenarioConfig(scenario="gauss-sqrt", n=150, n_replicates=3, seed=5)
+    for threads in (1, 2):
+        with pytest.warns(RuntimeWarning, match="3 of 3 replicates failed"):
+            with pytest.raises(simlab.NumericalError, match="every replicate failed"):
+                power_study([cfg], alpha=0.05, threads=threads)
+        assert sorted(r for r, _ in read()) == [0, 1, 2]
+        assert multiprocessing.active_children() == []
+
+
 def test_power_study_reraises_a_worker_error(monkeypatch, tmp_path):
     monkeypatch.setattr(simlab, "_usable_cpus", lambda: 2)
     read = _record_pids(
