@@ -18,7 +18,6 @@ either end are the one-sided limits from inside the domain.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -49,8 +48,9 @@ class SplineBasis:
 
     The knot sequence has full multiplicity (degree + 1) at both ends and
     equally spaced interior knots, so the basis spans all polynomials up to
-    the degree on [lo, hi]. Instances are immutable and hashable; the penalty
-    matrix is cached per instance.
+    the degree on [lo, hi]. Instances are immutable and hashable. Each one
+    computes its knot-derived tables (the cached properties) once, on first
+    use, and frees them with itself; equal instances do not share them.
     """
 
     degree: int
@@ -85,6 +85,57 @@ class SplineBasis:
         arr = np.asarray(self.knots, dtype=float)
         arr.flags.writeable = False
         return arr
+
+    @cached_property
+    def span_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-span knot data for `_design`, read-only. Spans l = k..last
+        are the nonempty ones; last is the span that ends at hi. `first` maps
+        p = searchsorted(knots, x, "right") to l - k, the first basis function
+        nonzero on span l = min(p - 1, last). Column l - k of `table` holds
+        the knots t[l-k+1 .. l+k] (rows 0..2k-1), then for each degree
+        j = 1..k the j knot differences t[l+m] - t[l+m-j], m = 1..j, that de
+        Boor's recurrence divides by (all positive, as the span is nonempty)."""
+        t = self.knot_array
+        k = self.degree
+        last = int(np.searchsorted(t, self.hi, side="left")) - 1
+        first = np.minimum(np.arange(t.size + 1) - 1, last) - k
+        window = t[np.arange(k, last + 1) + np.arange(1 - k, k + 1)[:, None]]
+        widths = [window[k : k + j] - window[k - j : k] for j in range(1, k + 1)]
+        table = np.concatenate([window, *widths])
+        first.flags.writeable = False
+        table.flags.writeable = False
+        return first, table
+
+    @cached_property
+    def penalty_tables(self) -> tuple[np.ndarray, ...]:
+        """(B, w, P, eigenvalues, eigenvectors) of the second-derivative
+        penalty, read-only. B holds the basis functions' second derivatives
+        at Gauss-Legendre nodes per knot span and w the node weights, with a
+        node count exact for phi_i'' * phi_j'', a piecewise polynomial of
+        degree 2 (degree - 2). P = B' diag(w) B, symmetrized; its
+        eigenvalues are clipped at zero."""
+        if self.degree < 2:
+            raise ValueError("second-derivative penalty needs degree >= 2")
+        t = self.knot_array
+        k = self.degree
+        nodes, weights = np.polynomial.legendre.leggauss(math.ceil((2 * (k - 2) + 1) / 2))
+        pts = []
+        wts = []
+        for j in range(k, len(t) - k - 2 + 1):
+            a, b = t[j], t[j + 1]
+            if b <= a:
+                continue
+            half = 0.5 * (b - a)
+            pts.append(half * nodes + 0.5 * (a + b))
+            wts.append(half * weights)
+        b2, wts = basis_matrix(self, np.concatenate(pts), 2), np.concatenate(wts)
+        P = b2.T @ (b2 * wts[:, None])
+        P = 0.5 * (P + P.T)
+        w, V = np.linalg.eigh(P)
+        w = np.maximum(w, 0.0)
+        for arr in (b2, wts, P, w, V):
+            arr.flags.writeable = False
+        return b2, wts, P, w, V
 
     def reflected(self) -> "SplineBasis":
         """The mirror-image basis on [-hi, -lo].
@@ -147,29 +198,6 @@ def basis_for_index(values: np.ndarray, dim: int = 25, degree: int = 5) -> Splin
     return make_spline_basis(lo, hi, dim=dim, degree=degree)
 
 
-@functools.lru_cache(maxsize=64)
-def _span_tables(basis: SplineBasis) -> tuple[np.ndarray, np.ndarray]:
-    """Per-span knot data for `_design`.
-
-    Spans l = k..last are the nonempty ones; last is the span that ends at
-    hi. `first` maps p = searchsorted(knots, x, "right") to l - k, the first
-    basis function nonzero on span l = min(p - 1, last). Column l - k of
-    `table` holds the knots t[l-k+1 .. l+k] (rows 0..2k-1), then for each
-    degree j = 1..k the j knot differences t[l+m] - t[l+m-j], m = 1..j, that
-    de Boor's recurrence divides by (all positive, as the span is nonempty).
-    """
-    t = basis.knot_array
-    k = basis.degree
-    last = int(np.searchsorted(t, basis.hi, side="left")) - 1
-    first = np.minimum(np.arange(t.size + 1) - 1, last) - k
-    window = t[np.arange(k, last + 1) + np.arange(1 - k, k + 1)[:, None]]
-    widths = [window[k : k + j] - window[k - j : k] for j in range(1, k + 1)]
-    table = np.concatenate([window, *widths])
-    first.flags.writeable = False
-    table.flags.writeable = False
-    return first, table
-
-
 def _design(basis: SplineBasis, x: np.ndarray, derivs: tuple[int, ...]) -> list[np.ndarray]:
     """Dense design matrices of the given derivative orders at points x in
     [lo, hi], from one Cox-de Boor triangle.
@@ -183,7 +211,7 @@ def _design(basis: SplineBasis, x: np.ndarray, derivs: tuple[int, ...]) -> list[
     before the dense outputs are allocated.
     """
     k, dim, n = basis.degree, basis.dim, x.size
-    first, table = _span_tables(basis)
+    first, table = basis.span_tables
     col = first[np.searchsorted(basis.knot_array, x, side="right")]
     g = np.take(table, col, axis=1)
     gap = np.subtract(g[: 2 * k], x, out=g[: 2 * k])  # t[l-k+1 .. l+k] - x
@@ -258,38 +286,10 @@ def greville_abscissae(basis: SplineBasis) -> np.ndarray:
     return np.array([t[j + 1 : j + k + 1].mean() for j in range(basis.dim)])
 
 
-@functools.lru_cache(maxsize=4)  # a path's fits share one basis or its reflection
-def _penalty_quadrature(basis: SplineBasis) -> tuple[np.ndarray, np.ndarray]:
-    """(B, w): the basis functions' second derivatives at Gauss-Legendre
-    nodes per knot span, and the node weights, with a node count exact for
-    phi_i'' * phi_j'', a piecewise polynomial of degree 2 (degree - 2)."""
-    if basis.degree < 2:
-        raise ValueError("second-derivative penalty needs degree >= 2")
-    t = basis.knot_array
-    k = basis.degree
-    nodes, weights = np.polynomial.legendre.leggauss(math.ceil((2 * (k - 2) + 1) / 2))
-    pts = []
-    wts = []
-    for j in range(k, len(t) - k - 2 + 1):
-        a, b = t[j], t[j + 1]
-        if b <= a:
-            continue
-        half = 0.5 * (b - a)
-        pts.append(half * nodes + 0.5 * (a + b))
-        wts.append(half * weights)
-    return basis_matrix(basis, np.concatenate(pts), 2), np.concatenate(wts)
-
-
-@functools.lru_cache(maxsize=64)
 def penalty_matrix(basis: SplineBasis) -> np.ndarray:
     """Second-derivative penalty matrix P, read-only: entry (i, j) is the
-    integral of phi_i'' * phi_j'' over the domain, B' diag(w) B by
-    `_penalty_quadrature`. Cached per basis."""
-    b2, wts = _penalty_quadrature(basis)
-    entries = b2.T @ (b2 * wts[:, None])
-    entries = 0.5 * (entries + entries.T)
-    entries.flags.writeable = False
-    return entries
+    integral of phi_i'' * phi_j'' over the domain (`SplineBasis.penalty_tables`)."""
+    return basis.penalty_tables[2]
 
 
 def penalty(basis: SplineBasis, d: np.ndarray) -> float:
@@ -297,22 +297,17 @@ def penalty(basis: SplineBasis, d: np.ndarray) -> float:
     integral of g''^2 over P's quadrature nodes. For a near-affine d, where
     g'' almost vanishes, this keeps the value to the rounding of g'' itself;
     d'Pd formed from P's rounded entries is off by about eps |P| |d|^2."""
-    b2, wts = _penalty_quadrature(basis)
+    b2, wts = basis.penalty_tables[:2]
     g2 = b2 @ d
     return float(wts @ (g2 * g2))
 
 
-@functools.lru_cache(maxsize=64)
 def penalty_eigh(basis: SplineBasis) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition (eigenvalues, eigenvectors) of the penalty matrix,
-    eigenvalues clipped at zero. In these coordinates the penalty quadratic
-    form is diagonal, which evaluates free of the cancellation that plagues
-    P @ d for near-affine coefficient vectors."""
-    w, V = np.linalg.eigh(penalty_matrix(basis))
-    w = np.maximum(w, 0.0)
-    w.flags.writeable = False
-    V.flags.writeable = False
-    return w, V
+    read-only, eigenvalues clipped at zero. In these coordinates the penalty
+    quadratic form is diagonal, which evaluates free of the cancellation that
+    plagues P @ d for near-affine coefficient vectors."""
+    return basis.penalty_tables[3:]
 
 
 def fourier_matrix(basis: FourierBasis, t) -> np.ndarray:

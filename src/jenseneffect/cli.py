@@ -69,9 +69,11 @@ def read_dataset(
     """Read a CSV with a `response` column, `x_` covariates, `a_` extras.
 
     Rows with missing or unparseable cells in used columns are rejected: the
-    reader raises with their line numbers. Unknown columns are ignored.
+    reader raises with their line numbers. Unknown columns are ignored. A
+    UTF-8 byte-order mark, as spreadsheet exports write, is skipped in both
+    files.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = [h.strip() for h in next(reader)]
@@ -138,7 +140,7 @@ def _functional_design(path: str, n: int, dim: int) -> np.ndarray:
     sampled on the same time grid.
     """
     series: dict[int, tuple[list[float], list[float]]] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         needed = {"series_id", "t", "value"}
         if reader.fieldnames is None or not needed <= set(reader.fieldnames):

@@ -291,6 +291,11 @@ def _check_test_options(alpha: float, n_sims: int, seed: int) -> None:
         raise ValueError("seed must be non-negative")
 
 
+def _check_direction(direction: str) -> None:
+    if direction not in DIRECTIONS:
+        raise ValueError(f"unknown direction {direction!r}; expected one of {DIRECTIONS}")
+
+
 def null_critical_value(
     sigma_t: np.ndarray,
     alpha: float,
@@ -305,8 +310,7 @@ def null_critical_value(
     statistic to the fraction of null draws at least as extreme.
     """
     _check_test_options(alpha, n_sims, seed)
-    if direction not in DIRECTIONS:
-        raise ValueError(f"unknown direction {direction!r}; expected one of {DIRECTIONS}")
+    _check_direction(direction)
     root = _symmetric_root(np.asarray(sigma_t, dtype=float))
     rng = np.random.default_rng(seed)
     draws = rng.standard_normal((n_sims, root.shape[0])) @ root
@@ -358,6 +362,7 @@ def jensen_test(
     _check_test_options(alpha, n_sims, seed)
     if direction is None:
         direction = FAMILY_TABLE[path.spec.family].direction
+    _check_direction(direction)
     if direction == "test_vs_linear_logistic":
         raise ValueError(
             "the linear-reference comparison is run through alternative_null_test"

@@ -1,6 +1,13 @@
 import multiprocessing
+import os
 
-import numpy as np
+# one BLAS thread, as the benchmark runs: the acceptance power studies fork
+# workers that would otherwise compete for the cores with their BLAS threads;
+# set before numpy is first imported, which is when OpenBLAS reads it
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 import pytest
 
 

@@ -9,7 +9,9 @@ hand-integrated closed forms; Fourier inner products against analytic
 integrals.
 """
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -26,6 +28,8 @@ from jenseneffect.basis import (
     fourier_matrix,
     greville_abscissae,
     make_spline_basis,
+    penalty,
+    penalty_eigh,
     penalty_matrix,
 )
 
@@ -326,6 +330,33 @@ def test_penalty_psd():
 def test_penalty_cached_per_basis():
     basis = make_spline_basis(0.0, 1.0)
     assert penalty_matrix(basis) is penalty_matrix(basis)
+    assert all(a is b for a, b in zip(basis.span_tables, basis.span_tables))
+    assert all(a is b for a, b in zip(penalty_eigh(basis), penalty_eigh(basis)))
+    # equal bases are separate instances, each with its own tables
+    assert penalty_matrix(make_spline_basis(0.0, 1.0)) is not penalty_matrix(basis)
+
+
+def test_penalty_eigh_is_the_clipped_eigendecomposition_of_p():
+    basis = make_spline_basis(-1.0, 2.0, dim=18, degree=5)
+    w, V = penalty_eigh(basis)
+    w_ref, V_ref = np.linalg.eigh(penalty_matrix(basis))
+    np.testing.assert_array_equal(w, np.maximum(w_ref, 0.0))
+    np.testing.assert_array_equal(V, V_ref)
+    for arr in (w, V, penalty_matrix(basis)):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+
+
+def test_a_basis_is_freed_with_its_tables():
+    basis = make_spline_basis(0.0, 1.0)
+    basis_matrix(basis, [0.2, 0.7], 1)
+    penalty_matrix(basis)
+    penalty_eigh(basis)
+    penalty(basis, np.ones(basis.dim))
+    ref = weakref.ref(basis)
+    del basis
+    gc.collect()
+    assert ref() is None
 
 
 # --- Fourier ----------------------------------------------------------------

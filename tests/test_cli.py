@@ -377,6 +377,33 @@ def test_functional_end_to_end(tmp_path, capsys):
     assert bundle["model"]["data"]["functional_columns"] == 15
 
 
+def test_jensen_reads_csvs_with_a_byte_order_mark(tmp_path, capsys):
+    # Excel's "CSV UTF-8" export starts the file with a UTF-8 byte-order mark
+    stub, fpath = _write_functional_pair(tmp_path, n=120)
+    results = []
+    for bom in (b"", b"\xef\xbb\xbf"):
+        data, hist = tmp_path / f"data{len(bom)}.csv", tmp_path / f"hist{len(bom)}.csv"
+        data.write_bytes(bom + stub.read_bytes())
+        hist.write_bytes(bom + fpath.read_bytes())
+        out = tmp_path / f"out{len(bom)}"
+        argv = [
+            "jensen",
+            "--family",
+            "gaussian-log",
+            "--data",
+            str(data),
+            "--functional",
+            str(hist),
+            "--lambda-grid",
+            "1:1000:4",
+            "--out",
+            str(out),
+        ]
+        assert main(argv) == 0, capsys.readouterr().err
+        results.append((out / "result.json").read_bytes())
+    assert results[0] == results[1]
+
+
 # --- power command ----------------------------------------------------------------
 
 

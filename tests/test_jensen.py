@@ -599,6 +599,15 @@ def test_jensen_test_rejects_vs_linear_direction(sqrt_path):
         jensen_test(path, direction="test_vs_linear_logistic")
 
 
+def test_jensen_test_rejects_an_unknown_direction_before_any_path_work(sqrt_path, monkeypatch):
+    def no_eval_set(*args):
+        raise AssertionError("make_eval_set called before the direction was checked")
+
+    monkeypatch.setattr("jenseneffect.jensen.make_eval_set", no_eval_set)
+    with pytest.raises(ValueError, match="unknown direction 'sideways'"):
+        jensen_test(sqrt_path[0], direction="sideways")
+
+
 # --- linear-logistic reference -----------------------------------------------------
 
 
