@@ -47,52 +47,48 @@ GHAT_POINTS = 200
 # --- ingestion ------------------------------------------------------------------
 
 
-def _parse_cell(cell: str, line_no: int, col: str) -> float:
+def _parse_cell(cell: str, line_no: int, col: str, integer: bool = False) -> float:
     text = cell.strip()
     if text.lower() in MISSING_TOKENS:
-        raise _RowProblem(line_no, f"missing value in column {col!r}")
+        raise ValueError(f"line {line_no}: missing value in column {col!r}")
     try:
-        return float(text)
+        value = float(text)
+        if integer:
+            int(text)  # raises on "1.5" or "1e3"
     except ValueError:
-        raise _RowProblem(line_no, f"unparseable value {text!r} in column {col!r}") from None
+        kind = "non-integer" if integer else "unparseable"
+        raise ValueError(f"line {line_no}: {kind} value {text!r} in column {col!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"line {line_no}: non-finite value {text!r} in column {col!r}")
+    return value
 
 
-class _RowProblem(Exception):
-    def __init__(self, line_no: int, what: str):
-        super().__init__(f"line {line_no}: {what}")
-        self.line_no = line_no
+def _read_columns(
+    path: str, what: str, required: list[str], prefixes: tuple[str, ...] = (),
+    integer: tuple[str, ...] = (),
+) -> tuple[list[str], np.ndarray]:
+    """Parse a CSV's `required` columns, then for each of `prefixes` the
+    columns whose names start with it (in header order), into a float table;
+    ignore the rest. Returns the parsed columns' names and the table.
 
-
-def read_dataset(
-    path: str, functional: str | None = None, fourier_dim: int = 15
-) -> tuple[Dataset, dict]:
-    """Read a CSV with a `response` column, `x_` covariates, `a_` extras.
-
-    Rows with missing or unparseable cells in used columns are rejected: the
-    reader raises with their line numbers. Unknown columns are ignored. A
-    UTF-8 byte-order mark, as spreadsheet exports write, is skipped in both
-    files.
+    Blank lines are skipped. Ragged rows and bad cells (missing, unparseable,
+    non-finite, or not an integer in an `integer` column) are collected by
+    line number and raised as one ValueError. A UTF-8 byte-order mark, as
+    spreadsheet exports write, is skipped.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise ValueError(
-                f"data file {path!r} is empty: expected a header with a `response` column"
-            ) from None
-        if "response" not in header:
-            raise ValueError(f"data file {path!r} has no `response` column")
-        resp_idx = header.index("response")
-        x_cols = [(i, name) for i, name in enumerate(header) if name.startswith("x_")]
-        a_cols = [(i, name) for i, name in enumerate(header) if name.startswith("a_")]
-        if not x_cols and functional is None:
-            raise ValueError(
-                "no environmental covariates: need `x_` columns or a functional-history file"
-            )
-        y_vals: list[float] = []
-        x_rows: list[list[float]] = []
-        a_rows: list[list[float]] = []
+        header = [h.strip() for h in next(reader, [])]
+        if not header:
+            wanted = ", ".join(f"`{name}`" for name in required)
+            raise ValueError(f"{what} {path!r} is empty: expected a header with {wanted}")
+        for name in required:
+            if name not in header:
+                raise ValueError(f"{what} {path!r} has no `{name}` column")
+        cols = [(header.index(name), name) for name in required]
+        for prefix in prefixes:
+            cols += [(i, name) for i, name in enumerate(header) if name.startswith(prefix)]
+        rows: list[list[float]] = []
         problems: list[str] = []
         for line_no, row in enumerate(reader, start=2):
             if not row:
@@ -101,36 +97,46 @@ def read_dataset(
                 problems.append(f"line {line_no}: expected {len(header)} cells, found {len(row)}")
                 continue
             try:
-                yv = _parse_cell(row[resp_idx], line_no, "response")
-                xv = [_parse_cell(row[i], line_no, nm) for i, nm in x_cols]
-                av = [_parse_cell(row[i], line_no, nm) for i, nm in a_cols]
-            except _RowProblem as bad:
+                rows.append([_parse_cell(row[i], line_no, nm, nm in integer) for i, nm in cols])
+            except ValueError as bad:
                 problems.append(str(bad))
-                continue
-            y_vals.append(yv)
-            x_rows.append(xv)
-            a_rows.append(av)
     if problems:
         shown = "; ".join(problems[:20])
         more = f" (and {len(problems) - 20} more)" if len(problems) > 20 else ""
         raise ValueError(f"rows rejected: {shown}{more}")
-    if not y_vals:
-        raise ValueError(f"data file {path!r} contains a header but no data rows")
-    y = np.array(y_vals)
-    X = np.array(x_rows) if x_cols else np.empty((y.size, 0))
-    A = np.array(a_rows) if a_cols else None
-    n_functional = 0
+    if not rows:
+        raise ValueError(f"{what} {path!r} contains a header but no data rows")
+    return [name for _, name in cols], np.array(rows)
+
+
+def read_dataset(
+    path: str, functional: str | None = None, fourier_dim: int = 15
+) -> tuple[Dataset, dict]:
+    """Read a CSV with a `response` column, `x_` covariates, `a_` extras.
+
+    Rows with missing, unparseable or non-finite cells in used columns are
+    rejected: the reader raises with their line numbers, and checks the
+    functional-history file the same way. Unknown columns are ignored.
+    """
+    names, table = _read_columns(path, "data file", ["response"], ("x_", "a_"))
+    x_cols = [nm for nm in names if nm.startswith("x_")]
+    a_cols = names[1 + len(x_cols) :]
+    if not x_cols and functional is None:
+        raise ValueError(
+            "no environmental covariates: need `x_` columns or a functional-history file"
+        )
+    y, X = table[:, 0], table[:, 1 : 1 + len(x_cols)]
+    A = table[:, 1 + len(x_cols) :] if a_cols else None
+    F = np.empty((y.size, 0))
     if functional is not None:
         F = _functional_design(functional, y.size, fourier_dim)
-        n_functional = F.shape[1]
-        X = np.hstack([X, F])
     meta = {
         "n": int(y.size),
-        "x_columns": [nm for _, nm in x_cols],
-        "a_columns": [nm for _, nm in a_cols],
-        "functional_columns": n_functional,
+        "x_columns": x_cols,
+        "a_columns": a_cols,
+        "functional_columns": F.shape[1],
     }
-    return Dataset(y=y, X=X, A=A), meta
+    return Dataset(y=y, X=np.hstack([X, F]), A=A), meta
 
 
 def _functional_design(path: str, n: int, dim: int) -> np.ndarray:
@@ -139,38 +145,24 @@ def _functional_design(path: str, n: int, dim: int) -> np.ndarray:
     series_id i (0-based) attaches to data row i; every series must be
     sampled on the same time grid.
     """
-    series: dict[int, tuple[list[float], list[float]]] = {}
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.DictReader(fh)
-        needed = {"series_id", "t", "value"}
-        if reader.fieldnames is None or not needed <= set(reader.fieldnames):
-            raise ValueError(
-                f"functional file {path!r} must have columns series_id,t,value"
-            )
-        for line_no, rec in enumerate(reader, start=2):
-            try:
-                sid = int(rec["series_id"])
-            except (TypeError, ValueError):
-                raise ValueError(
-                    f"functional file line {line_no}: series_id must be an integer"
-                ) from None
-            t = _parse_cell(rec["t"] or "", line_no, "t")
-            v = _parse_cell(rec["value"] or "", line_no, "value")
-            ts, vs = series.setdefault(sid, ([], []))
-            ts.append(t)
-            vs.append(v)
-    if sorted(series) != list(range(n)):
+    _, table = _read_columns(
+        path, "functional file", ["series_id", "t", "value"], integer=("series_id",)
+    )
+    ids = table[:, 0].astype(int)
+    if not np.array_equal(np.unique(ids), np.arange(n)):
         raise ValueError(
             f"functional series ids must be exactly 0..{n - 1} matching the data rows"
         )
-    grids = [np.array(series[i][0]) for i in range(n)]
-    histories = [np.array(series[i][1]) for i in range(n)]
+    # each series' rows together, in file order
+    order = np.argsort(ids, kind="stable")
+    ends = np.cumsum(np.bincount(ids))[:-1]
+    grids = np.split(table[order, 1], ends)
     base = grids[0]
     for i, g in enumerate(grids[1:], start=1):
         if not np.array_equal(g, base):
             raise ValueError(f"functional series {i} is not on the shared time grid")
     basis = FourierBasis(dim=dim, period=float(base[-1] - base[0]))
-    return fourier_design(np.vstack(histories), base, basis)
+    return fourier_design(np.vstack(np.split(table[order, 2], ends)), base, basis)
 
 
 # --- the jensen command ------------------------------------------------------------

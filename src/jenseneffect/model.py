@@ -196,21 +196,26 @@ class ModelSpec:
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Raw responses plus covariate blocks. X columns drive the index; A
-    columns are the extra covariates (may be absent)."""
+    columns are the extra covariates (may be absent).
+
+    The blocks are stored C-ordered: BLAS sums a product like `X @ beta` in
+    an order that depends on the layout, so a Fortran-ordered copy of the
+    same numbers would give a different fit.
+    """
 
     y: np.ndarray
     X: np.ndarray
     A: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        y = np.asarray(self.y, dtype=float)
-        X = np.asarray(self.X, dtype=float)
+        y = np.asarray(self.y, dtype=float, order="C")
+        X = np.asarray(self.X, dtype=float, order="C")
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "X", X)
         if y.ndim != 1 or X.ndim != 2 or X.shape[0] != y.size:
             raise ValueError("y must be a vector and X a matrix with matching row count")
         if self.A is not None:
-            A = np.asarray(self.A, dtype=float)
+            A = np.asarray(self.A, dtype=float, order="C")
             object.__setattr__(self, "A", A)
             if A.ndim != 2 or A.shape[0] != y.size:
                 raise ValueError("A must be a matrix with one row per observation")

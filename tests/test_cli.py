@@ -172,6 +172,15 @@ def test_jensen_ragged_row_exit2(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+def test_jensen_non_finite_cell_exit2(tmp_path, capsys):
+    bad = tmp_path / "inf.csv"
+    bad.write_text("response,x_1\n1.0,0.2\n2.0,inf\n1.5,0.4\n", encoding="utf-8")
+    rc = main(["jensen", "--family", "gaussian-log", "--data", str(bad)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "rows rejected: line 3: non-finite value 'inf' in column 'x_1'" in err
+
+
 def test_jensen_vs_linear_non_logit_exit2(gaussian_csv, capsys):
     rc = main(
         [
@@ -351,6 +360,31 @@ def test_functional_ingestion_mismatched_grid(tmp_path):
     f4.write_text("\n".join(rows) + "\n", encoding="utf-8")
     with pytest.raises(ValueError, match="shared time grid"):
         read_dataset(str(stub), functional=str(f4))
+
+
+@pytest.mark.parametrize(
+    "lines,edit",
+    [
+        ((5,), lambda c: [c[0], c[1], ""]),
+        ((7,), lambda c: [c[0], "noon", c[2]]),
+        ((9,), lambda c: c[:2]),
+        ((11,), lambda c: c + ["0.5"]),
+        ((13,), lambda c: [c[0], c[1], "inf"]),
+        ((20, 30), lambda c: ["1.5", c[1], c[2]]),
+    ],
+    ids=["empty-value", "unparseable-t", "short-row", "extra-cell", "inf-value", "non-integer-ids"],
+)
+def test_functional_malformed_history_exit2(tmp_path, capsys, lines, edit):
+    stub, fpath = _write_functional_pair(tmp_path, n=4, T=40, build_response=False)
+    rows = fpath.read_text(encoding="utf-8").splitlines()
+    for k in lines:
+        rows[k - 1] = ",".join(edit(rows[k - 1].split(",")))
+    fpath.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    argv = ["jensen", "--family", "gaussian-log", "--data", str(stub), "--functional", str(fpath)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "rows rejected" in err
+    assert err.count("line ") == len(lines) and all(f"line {k}:" in err for k in lines)
 
 
 def test_functional_end_to_end(tmp_path, capsys):

@@ -15,6 +15,7 @@ from scipy.special import expit
 
 from jenseneffect.basis import basis_matrix, make_spline_basis
 from jenseneffect.errors import DegenerateIndexError, NumericalOverflowError
+from jenseneffect.jensen import jensen_test
 import jenseneffect.model as model_module
 from jenseneffect.model import (
     ETA_CLIP,
@@ -25,6 +26,7 @@ from jenseneffect.model import (
     ModelSpec,
     _Evaluator,
     _initial_coefficients,
+    default_lambda_grid,
     fit,
     fit_path,
     gradient,
@@ -496,6 +498,36 @@ def test_spec_and_data_validation(rng):
     logit = ModelSpec(family="bernoulli_logit", p=2)
     with pytest.raises(ValueError):
         fit(logit, Dataset(y=np.array([0.0, 1.0, 2.0, 0.0, 1.0]), X=X), lam=1.0)
+
+
+@pytest.mark.parametrize(
+    "scenario,family,q,direction",
+    [
+        ("logit-convex", "bernoulli_logit", 1, "test_positive"),
+        ("pois-logistic", "poisson", 0, "test_negative"),
+    ],
+)
+def test_fit_and_test_do_not_depend_on_the_covariate_layout(scenario, family, q, direction):
+    # pandas' .to_numpy(), transposes and column slices hand over Fortran-ordered
+    # blocks; BLAS sums X @ beta in a layout-dependent order
+    X, y = gen_dataset(ScenarioConfig(scenario, n=300, param=8.0, seed=0), 0)
+    A = np.random.default_rng(7).normal(0.0, 0.5, size=(y.size, q)) if q else None
+    spec = ModelSpec(family=family, p=X.shape[1], q=q, lambda_grid=default_lambda_grid(count=4))
+    runs = []
+    for order in ("C", "F"):
+        data = Dataset(
+            y=y, X=np.asarray(X, order=order), A=None if A is None else np.asarray(A, order=order)
+        )
+        path = fit_path(spec, data)
+        runs.append((path, jensen_test(path, direction=direction, seed=0, n_sims=500)))
+    (path_c, res_c), (path_f, res_f) = runs
+    for fc, ff in zip(path_c.fits, path_f.fits):
+        assert ff.objective == fc.objective
+        for name in ("beta", "gamma", "d"):
+            np.testing.assert_array_equal(getattr(ff.coeffs, name), getattr(fc.coeffs, name))
+    np.testing.assert_array_equal(res_f.deltas, res_c.deltas)
+    np.testing.assert_array_equal(res_f.sigma_delta, res_c.sigma_delta)
+    assert (res_f.statistic, res_f.critical_value) == (res_c.statistic, res_c.critical_value)
 
 
 # --- fit_path ---------------------------------------------------------------

@@ -16,7 +16,7 @@ Groups:
          and decision of every test, and the linear reference's delta_inf
          and influence row
   power  the power CSV at threads 1 and at threads 2
-  cli    result.json, delta_vs_lambda.csv and ghat.csv of six `jensen` runs
+  cli    result.json, delta_vs_lambda.csv and ghat.csv of seven `jensen` runs
 
 Inputs (all seeded; one run takes about 30-45 s on two cores):
   gauss-sqrt, sigma 0.05, n 2000, seed 0, replicates 0-5, sign test
@@ -27,6 +27,9 @@ Inputs (all seeded; one run takes about 30-45 s on two cores):
       from the catalog (the logit data with one extra `a_` covariate), and
       the logit and vs-linear runs again with `--extra-placement outside`,
       whose paired evaluation sets carry nonzero offsets
+  a gaussian-log `--functional` run: a data file with one `x_` column and a
+      seeded `series_id,t,value` history file (n 120, 40 time points), so the
+      digest covers the history reader and its Fourier design
 """
 
 from __future__ import annotations
@@ -132,6 +135,24 @@ def _write_csv(fname, y, X, A=None):
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
+def _write_functional_pair(tmp, n=120, T=40):
+    """A data file with `response` and `x_1`, and a long history file whose
+    series mix a constant, a sine and a cosine; the response is log-linear
+    in x_1 and the mixing weights."""
+    rng = np.random.default_rng(9)
+    t = np.linspace(0.0, 1.0, T)
+    coef = rng.normal(size=(n, 3))
+    H = coef[:, :1] + coef[:, 1:2] * np.sin(2 * np.pi * t) + coef[:, 2:3] * np.cos(2 * np.pi * t)
+    x = rng.uniform(0.0, 0.5, size=(n, 1))
+    y = np.exp(x[:, 0] + 0.3 * coef @ np.array([0.6, 0.6, -0.5]) + 0.02 * rng.normal(size=n))
+    _write_csv(os.path.join(tmp, "fdata.csv"), y, x)
+    with open(os.path.join(tmp, "hist.csv"), "w", encoding="utf-8") as fh:
+        fh.write("series_id,t,value\n")
+        for i in range(n):
+            for k in range(T):
+                fh.write(f"{i},{float(t[k])!r},{float(H[i, k])!r}\n")
+
+
 def _cli_runs(dig, tmp):
     from jenseneffect.cli import main
     from jenseneffect.simlab import ScenarioConfig, gen_dataset
@@ -143,6 +164,7 @@ def _cli_runs(dig, tmp):
     X, y = gen_dataset(ScenarioConfig("logit-convex", n=500, seed=0), 0)
     A = np.random.default_rng(7).normal(0.0, 0.5, size=(y.size, 1))
     _write_csv(os.path.join(tmp, "logit.csv"), y, X, A)
+    _write_functional_pair(tmp)
     runs = [
         ("gaussian-log", "gauss.csv", []),
         ("poisson", "pois.csv", []),
@@ -150,6 +172,7 @@ def _cli_runs(dig, tmp):
         ("logit", "logit.csv", ["--direction", "vs-linear"]),
         ("logit", "logit.csv", ["--extra-placement", "outside"]),
         ("logit", "logit.csv", ["--direction", "vs-linear", "--extra-placement", "outside"]),
+        ("gaussian-log", "fdata.csv", ["--functional", os.path.join(tmp, "hist.csv")]),
     ]
     for k, (family, fname, extra) in enumerate(runs):
         out = os.path.join(tmp, f"run{k}")
