@@ -244,6 +244,7 @@ def _result_bundle(spec, path, res, meta) -> dict:
         "statistic": res.statistic,
         "critical_value": res.critical_value,
         "p_value": res.p_value,
+        "p_value_mc_se": math.sqrt(res.p_value * (1.0 - res.p_value) / res.n_null_sims),
         "decision": "REJECT" if res.reject else "FAIL_TO_REJECT",
         "warnings": list(res.warnings) + list(path.warnings),
     }

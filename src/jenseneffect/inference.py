@@ -81,19 +81,19 @@ def _solve_spd(M: np.ndarray, B: np.ndarray, context: str) -> np.ndarray:
         return scipy.linalg.solve(Mj, B, assume_a="sym")
 
 
-def _fit_system(fit: FitResult) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(Phi, w, Phi' W Phi, M^-1) for one fit, with M = Phi' W Phi + lambda P
-    the bracket."""
-    phi = _design(fit)
+def _fit_system(fit: FitResult, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(w, Phi' W Phi, M^-1) for one fit with design phi (`_design(fit)`),
+    with M = Phi' W Phi + lambda P the bracket."""
     w = fit_weights(fit)
     gram = phi.T @ (phi * w[:, None])
     M = gram + fit.lam * penalty_matrix(fit.basis)
-    return phi, w, gram, _solve_spd(M, np.eye(M.shape[0]), "the penalized bracket")
+    return w, gram, _solve_spd(M, np.eye(M.shape[0]), "the penalized bracket")
 
 
 def smoother_matrix(fit: FitResult) -> np.ndarray:
     """The n x n linear map from working response to fitted link values."""
-    phi, w, _, V = _fit_system(fit)
+    phi = _design(fit)
+    w, _, V = _fit_system(fit, phi)
     return phi @ (V @ (phi.T * w[None, :]))
 
 
@@ -101,7 +101,7 @@ def gcv(fit: FitResult) -> float:
     """Generalized cross-validation score n ||sqrt(W)(z - Phi d)||^2 / (n - tr S)^2
     with the IRLS working response z = g(E) + W^{-1}(y - mu); for the
     gaussian family this is the classical n RSS / (n - tr S)^2."""
-    _, w, gram, V = _fit_system(fit)
+    w, gram, V = _fit_system(fit, _design(fit))
     tr_s = float(np.trace(V @ gram))
     n = fit.eta.size
     if tr_s >= n:
@@ -116,7 +116,8 @@ def gcv(fit: FitResult) -> float:
 
 def effective_df(fit: FitResult) -> tuple[float, float]:
     """(tr S, tr SS') for the fit, without forming any n x n matrix."""
-    phi, w, gram, V = _fit_system(fit)
+    phi = _design(fit)
+    w, gram, V = _fit_system(fit, phi)
     tr_s = float(np.trace(V @ gram))
     WPhi = phi * w[:, None]
     C = WPhi.T @ WPhi  # Phi' W^2 Phi
@@ -148,7 +149,8 @@ def build_path(spec: ModelSpec, data: Dataset, fits: list[FitResult]) -> LambdaP
     """Attach GCV values, the selected index, reference weights, and (for a
     family with a dispersion) the residual variance to a list of fits. The
     path's warnings open with each distinct fit warning once, in the order
-    first seen."""
+    first seen, and name a GCV choice at either end of a grid of more than
+    one point, since the GCV optimum may then lie beyond the grid."""
     path_warnings = list(dict.fromkeys(w for f in fits for w in f.warnings))
     gcvs = np.full(len(fits), np.inf)
     for k, f in enumerate(fits):
@@ -161,6 +163,12 @@ def build_path(spec: ModelSpec, data: Dataset, fits: list[FitResult]) -> LambdaP
     if not np.any(np.isfinite(gcvs)):
         raise NumericalError("GCV is undefined on the whole grid")
     selected = int(np.argmin(gcvs))
+    if len(fits) > 1 and selected in (0, len(fits) - 1):
+        end = "first" if selected == 0 else "last"
+        path_warnings.append(
+            f"lambda={fits[selected].lam:.6g}: GCV selects the {end} grid point; "
+            "its optimum may lie beyond the grid"
+        )
     path = LambdaPath(
         spec=spec,
         data=data,
@@ -221,6 +229,6 @@ def coef_cov(path: LambdaPath, i: int, j: int) -> np.ndarray:
         raise IndexError("lambda grid index out of range")
     _check_same_frame(path, i, j)
     s = _noise_scale(path)
-    phi_i, _, _, Vi = _fit_system(path.fits[i])
-    phi_j, _, _, Vj = _fit_system(path.fits[j])
+    phi_i, phi_j = _design(path.fits[i]), _design(path.fits[j])
+    Vi, Vj = _fit_system(path.fits[i], phi_i)[2], _fit_system(path.fits[j], phi_j)[2]
     return s * (Vi @ (phi_i.T @ (phi_j * path.weight_ref[:, None])) @ Vj)

@@ -5,12 +5,14 @@ The Jensen effect of covariate variability is
     delta = mean_i h(g(E_i)) - h(g(E_bar))
 
 (with h the family's Jensen transform, `Family.h`: exp for gaussian_log /
-poisson, logistic for bernoulli_logit; a paired family averages the
-difference per observation so extra covariates stay at their own values).
-delta_hat is computed at every lambda on a fitted path; a multivariate
-normal null for the normalized process t_lambda gives a critical value for
-min/max-type statistics, simulated rather than asymptotic because the
-per-lambda estimates are strongly dependent. The direction table
+poisson, logistic for bernoulli_logit). Every evaluation set holds the fit's
+n index values, whose basis rows are the fit's design, then their twins: the
+mean index, or for a paired family each observation with its X beta part at
+its mean, so extra covariates stay at their own values. delta_hat is
+computed at every lambda on a fitted path; a multivariate normal null for
+the normalized process t_lambda gives a critical value for min/max-type
+statistics, simulated rather than asymptotic because the per-lambda
+estimates are strongly dependent. The direction table
 `_STATISTICS` gives the observed and the null statistic and their tail;
 `_functional` gives delta and its gradient for spline and linear fits alike.
 """
@@ -62,24 +64,25 @@ REFERENCE_MAX_ITER = 100
 
 @dataclass(frozen=True, eq=False)
 class EvalSet:
-    """Augmented evaluation points for one fit.
+    """Evaluation points for one fit: its n index values, then their twins.
 
-    Unpaired families: n index values followed by their mean, weights
-    (1/n, ..., 1/n, -1). Paired: n interleaved pairs (observed index, index
-    with the environmental part averaged), weights (1/n, -1/n, ...);
-    `offsets` carries any extra-covariate contribution that enters after
-    the link (outside_index placement).
+    The first n rows of `phi_plus` are the fit's design bit for bit. An
+    unpaired family has one twin, the mean index. A paired family has n,
+    each observation's index with its X beta part replaced by the mean of
+    X beta. `offsets` carries any extra-covariate contribution that enters
+    after the link (outside_index placement), the same for an observation
+    and its twin.
     """
 
     family: str
     points: np.ndarray
-    weights: np.ndarray
+    n: int
     offsets: np.ndarray
     phi_plus: np.ndarray
 
     def __post_init__(self) -> None:
-        if abs(float(np.sum(self.weights))) > 1e-12:
-            raise ValueError("evaluation weights must sum to zero")
+        if not 0 < self.n < self.points.size:
+            raise ValueError("an evaluation set needs observed points and at least one twin")
         if self.phi_plus.shape[0] != self.points.size:
             raise ValueError("evaluation matrix row count must match the points")
 
@@ -131,65 +134,49 @@ def _mean_snap(x: np.ndarray) -> float:
 
 
 def make_eval_set(spec: ModelSpec, data: Dataset, fit: FitResult) -> EvalSet:
-    """Build the augmented evaluation points for one fit, in its own frame."""
+    """Build the evaluation set for one fit, in its own frame."""
     n = data.n
+    E = fit.index_values
     if not FAMILY_TABLE[spec.family].paired:
-        E = fit.index_values
-        points = np.append(E, _mean_snap(E))
-        weights = np.append(np.full(n, 1.0 / n), -1.0)
+        twins = np.array([_mean_snap(E)])
         offsets = np.zeros(n + 1)
     else:
-        x = data.X @ fit.coeffs.beta
-        base = np.zeros(n)
-        after = np.zeros(n)
+        twins = np.full(n, _mean_snap(data.X @ fit.coeffs.beta))
+        offsets = np.zeros(2 * n)
         if spec.q > 0:
             contrib = data.A @ fit.coeffs.gamma
             if spec.extra_placement == "inside_index":
-                base = contrib
+                twins = contrib + twins
             else:
-                after = contrib
-        xbar = _mean_snap(x)
-        points = np.empty(2 * n)
-        points[0::2] = base + x
-        points[1::2] = base + xbar
-        weights = _paired_weights(n)
-        offsets = np.repeat(after, 2)
+                offsets = np.tile(contrib, 2)
+    points = np.concatenate([E, twins])
     phi_plus = basis_matrix(fit.basis, points)
-    return EvalSet(
-        family=spec.family, points=points, weights=weights, offsets=offsets, phi_plus=phi_plus
-    )
-
-
-def _paired_weights(n: int) -> np.ndarray:
-    return np.tile([1.0 / n, -1.0 / n], n)
+    return EvalSet(family=spec.family, points=points, n=n, offsets=offsets, phi_plus=phi_plus)
 
 
 def _functional(
-    family: str, rows: np.ndarray, weights: np.ndarray, offsets, coef: np.ndarray
+    family: str, rows: np.ndarray, n: int, offsets, coef: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    """(delta, c) at g = rows @ coef + offsets: delta = sum_i a_i h(g_i), or
-    the mean pair difference for a paired family (identical pair members
-    cancel exactly), and its gradient in coef, c = rows' (a * h'(g))."""
+    """(delta, c) at g = rows @ coef + offsets, where the first n rows are
+    the observations and the rest their twins: delta = mean h(g) over the
+    observations - mean h(g) over the twins, exactly 0 for a constant h(g)
+    (identical twins cancel exactly), and its gradient in coef,
+    c = rows[:n]' h'(g[:n]) / n - rows[n:]' h'(g[n:]) / (twin count)."""
     fam = FAMILY_TABLE[family]
     g = rows @ coef + offsets
     hv = fam.h(g)
-    if np.ptp(hv) == 0.0:
-        delta = 0.0
-    elif fam.paired:
-        diffs = hv[0::2] - hv[1::2]
-        delta = float(np.sum(diffs) / diffs.size)
-    else:
-        delta = float(weights @ hv)
-    return delta, rows.T @ (weights * fam.h_prime(g))
+    delta = 0.0 if np.ptp(hv) == 0.0 else float(np.mean(hv[:n]) - np.mean(hv[n:]))
+    hp = fam.h_prime(g)
+    return delta, rows[:n].T @ hp[:n] / n - rows[n:].T @ hp[n:] / (hp.size - n)
 
 
 def delta_hat(fit: FitResult, ev: EvalSet) -> float:
     """The Jensen-effect estimate for one fit.
 
     Exactly zero whenever the fitted values are constant over the evaluation
-    points, and (paired case) whenever every pair is degenerate.
+    points, and (paired case) whenever every twin equals its observation.
     """
-    return _functional(ev.family, ev.phi_plus, ev.weights, ev.offsets, fit.coeffs.d)[0]
+    return _functional(ev.family, ev.phi_plus, ev.n, ev.offsets, fit.coeffs.d)[0]
 
 
 def truncate_psd(mat: np.ndarray) -> np.ndarray:
@@ -206,9 +193,11 @@ def truncate_psd(mat: np.ndarray) -> np.ndarray:
 def _terms(fit: FitResult, ev: EvalSet) -> tuple[float, np.ndarray]:
     """(delta_hat, its influence row Phi M^-1 c = d(delta_hat) / d(W z)) for
     one fit: the gradient c of delta_hat in the spline coefficients carried
-    into observation space through d_hat = M^-1 Phi' W z."""
-    phi, _, _, V = _fit_system(fit)
-    delta, c = _functional(ev.family, ev.phi_plus, ev.weights, ev.offsets, fit.coeffs.d)
+    into observation space through d_hat = M^-1 Phi' W z, whose design Phi is
+    the first n rows of the evaluation set."""
+    phi = ev.phi_plus[: ev.n]
+    _, _, V = _fit_system(fit, phi)
+    delta, c = _functional(ev.family, ev.phi_plus, ev.n, ev.offsets, fit.coeffs.d)
     return delta, phi @ (V @ c)
 
 
@@ -225,10 +214,10 @@ def _path_terms(path: LambdaPath) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _row_cov(path: LambdaPath, rows: np.ndarray, what: str) -> np.ndarray:
-    """s G diag(w_ref) G', projected to the PSD cone, for influence rows G."""
-    scaled = rows * path.weight_ref[None, :]
-    scaled *= _noise_scale(path)  # in place: one m x n temporary, not two
-    sigma = truncate_psd(scaled @ rows.T)
+    """s G diag(w_ref) G', projected to the PSD cone, for influence rows G.
+    Scales `rows` in place by sqrt(s w_ref), so callers pass an array they own."""
+    rows *= np.sqrt(_noise_scale(path) * path.weight_ref)[None, :]
+    sigma = truncate_psd(rows @ rows.T)
     if np.all(np.diag(sigma) <= 0.0):
         raise DegenerateVarianceError(f"estimated variance of {what} is zero on the whole grid")
     return sigma
@@ -410,10 +399,10 @@ def linear_logistic_reference(data: Dataset, path: LambdaPath | None = None) -> 
         )
     q = 0 if data.A is None else data.A.shape[1]
     fitted = fam.mean(D @ coef)
-    # the paired evaluation rows: each design row, then its twin with X at the column means
-    Dplus = np.repeat(D, 2, axis=0)
-    Dplus[1::2, 1 + q :] = data.X.mean(axis=0)
-    delta_inf, sens = _functional("bernoulli_logit", Dplus, _paired_weights(data.n), 0.0, coef)
+    # the evaluation rows: the design, then each row's twin with X at the column means
+    twins = D.copy()
+    twins[:, 1 + q :] = data.X.mean(axis=0)
+    delta_inf, sens = _functional("bernoulli_logit", np.vstack([D, twins]), data.n, 0.0, coef)
     # d(delta_inf)/dy through the weighted least-squares coefficient map of
     # the linear fit, D (D' W D)^-1 sens
     DWD = D.T @ (D * fam.weight(fitted)[:, None])

@@ -4,6 +4,7 @@ declared entry point run from the source tree, and the installed wrapper
 wherever it is on PATH."""
 
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -143,6 +144,31 @@ def test_jensen_reports_a_fit_warning_once(tmp_path, capsys):
     bundle = json.loads((out / "result.json").read_text(encoding="utf-8"))
     note = "rank-deficient link system: n=20 observations for 25 basis functions"
     assert bundle["warnings"].count(note) == 1
+
+
+def test_jensen_reports_a_gcv_choice_at_the_grid_edge(jensen_run, tmp_path, capsys):
+    # on this low-noise gaussian path GCV selects the roughest fit, lambda = 0.1
+    argv, out = jensen_run
+    argv2 = list(argv)
+    argv2[argv2.index(str(out))] = str(tmp_path)
+    assert main(argv2) == 0
+    bundle = json.loads((tmp_path / "result.json").read_text(encoding="utf-8"))
+    assert bundle["selected_lambda"] == bundle["model"]["lambda_grid"][0]
+    note = "lambda=0.1: GCV selects the first grid point; its optimum may lie beyond the grid"
+    assert bundle["warnings"].count(note) == 1
+
+
+def test_jensen_reports_the_p_value_mc_se(tmp_path, capsys):
+    data = tmp_path / "logit.csv"
+    write_logit_csv(data)
+    out = tmp_path / "out"
+    argv = ["jensen", "--family", "logit", "--data", str(data), "--null-sims", "2000",
+            "--seed", "3", "--out", str(out)]
+    assert main(argv) == 0
+    bundle = json.loads((out / "result.json").read_text(encoding="utf-8"))
+    p = bundle["p_value"]
+    assert 0.0 < p < 1.0 and bundle["n_null_sims"] == 2000
+    assert bundle["p_value_mc_se"] == math.sqrt(p * (1.0 - p) / 2000)
 
 
 def test_jensen_empty_file_exit2(tmp_path, capsys):

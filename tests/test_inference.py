@@ -274,7 +274,7 @@ def test_delta_cov_matches_pairwise_coef_cov_oracle():
     for path, data in (gaussian_path(n=150), poisson_path(n=200)):
         evals = [make_eval_set(path.spec, data, f) for f in path.fits]
         sens = [
-            _functional(ev.family, ev.phi_plus, ev.weights, ev.offsets, f.coeffs.d)[1]
+            _functional(ev.family, ev.phi_plus, ev.n, ev.offsets, f.coeffs.d)[1]
             for ev, f in zip(evals, path.fits)
         ]
         m = len(path.fits)
@@ -373,6 +373,20 @@ def test_build_path_selection_and_weights():
     assert np.all(path.weight_ref > 0)
     np.testing.assert_allclose(path.weight_ref, fit_weights(path.selected_fit), rtol=0)
     assert path.grid == tuple(sorted(path.grid))
+
+
+def test_build_path_warns_when_gcv_selects_an_end_of_the_grid(monkeypatch):
+    path, data = gaussian_path(n=120)
+    assert path.selected == 0
+    note = "GCV selects the {} grid point; its optimum may lie beyond the grid"
+    assert f"lambda=0.1: {note.format('first')}" in path.warnings
+    fits = list(path.fits[:3])
+    for scores, end in (([2.0, 1.0, 3.0], None), ([3.0, 2.0, 1.0], "last"), ([1.0], None)):
+        values = iter(scores)
+        monkeypatch.setattr("jenseneffect.inference.gcv", lambda f: next(values))
+        edge = [w for w in build_path(path.spec, data, fits[: len(scores)]).warnings if "GCV" in w]
+        lam = fits[len(scores) - 1].lam
+        assert edge == ([] if end is None else [f"lambda={lam:.6g}: {note.format(end)}"])
 
 
 def test_build_path_raises_when_gcv_everywhere_undefined():

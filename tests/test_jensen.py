@@ -21,7 +21,7 @@ from jenseneffect.errors import (
     SeparationError,
     TestInfeasibleError,
 )
-from jenseneffect.inference import LambdaPath
+from jenseneffect.inference import LambdaPath, _design
 from jenseneffect.jensen import (
     DIRECTIONS,
     EvalSet,
@@ -142,16 +142,25 @@ def synthetic_fit(family, d, index_values, basis, beta=None, gamma=None):
 # --- evaluation sets ----------------------------------------------------------
 
 
+def assert_design_first(spec, data, f, ev):
+    """The set opens with the fit's own index values X beta (+ A gamma inside
+    the index), so its first n basis rows are the fit's design, bit for bit."""
+    n = data.n
+    index = data.X @ f.coeffs.beta
+    if spec.q and spec.extra_placement == "inside_index":
+        index = index + data.A @ f.coeffs.gamma
+    assert ev.n == n
+    np.testing.assert_array_equal(ev.points[:n], index)
+    np.testing.assert_array_equal(ev.phi_plus[:n], _design(f))
+
+
 def test_eval_set_exp_family_structure():
     spec, data, f = fitted_instance("poisson", q=1)
     ev = make_eval_set(spec, data, f)
     n = data.n
     assert ev.points.size == n + 1
-    np.testing.assert_array_equal(ev.points[:n], f.index_values)
+    assert_design_first(spec, data, f, ev)
     assert ev.points[n] == pytest.approx(np.mean(f.index_values), rel=1e-15)
-    assert ev.weights[0] == pytest.approx(1.0 / n)
-    assert ev.weights[n] == -1.0
-    assert abs(ev.weights.sum()) < 1e-12
     assert np.all(ev.offsets == 0.0)
 
 
@@ -162,44 +171,57 @@ def test_eval_set_mean_snap_degenerate():
     data = Dataset(y=np.ones(7), X=E[:, None])
     spec = ModelSpec(family="gaussian_log", p=1, basis=basis)
     ev = make_eval_set(spec, data, f)
+    assert_design_first(spec, data, f, ev)
     assert ev.points[-1] == 0.3
 
 
 def test_eval_set_logit_inside_structure():
-    spec, data, f = fitted_instance("bernoulli_logit", q=1, placement="inside_index")
-    ev = make_eval_set(spec, data, f)
-    n = data.n
-    x = data.X @ f.coeffs.beta
-    base = data.A @ f.coeffs.gamma
-    assert ev.points.size == 2 * n
-    np.testing.assert_allclose(ev.points[0::2], base + x, atol=0)
-    np.testing.assert_allclose(ev.points[1::2], base + np.mean(x), rtol=1e-15)
-    np.testing.assert_allclose(ev.weights[0::2], 1.0 / n)
-    np.testing.assert_allclose(ev.weights[1::2], -1.0 / n)
-    assert np.all(ev.offsets == 0.0)
+    for q in (0, 1):
+        spec, data, f = fitted_instance("bernoulli_logit", q=q, placement="inside_index")
+        ev = make_eval_set(spec, data, f)
+        n = data.n
+        x = data.X @ f.coeffs.beta
+        base = data.A @ f.coeffs.gamma if q else 0.0
+        assert ev.points.size == 2 * n
+        assert_design_first(spec, data, f, ev)
+        np.testing.assert_allclose(ev.points[n:], base + np.mean(x), rtol=1e-15)
+        assert np.all(ev.offsets == 0.0)
 
 
 def test_eval_set_logit_outside_offsets():
     spec, data, f = fitted_instance("bernoulli_logit", q=1, placement="outside_index")
     ev = make_eval_set(spec, data, f)
+    n = data.n
     contrib = data.A @ f.coeffs.gamma
-    np.testing.assert_array_equal(ev.offsets[0::2], contrib)
-    np.testing.assert_array_equal(ev.offsets[1::2], contrib)
+    np.testing.assert_array_equal(ev.offsets[:n], contrib)
+    np.testing.assert_array_equal(ev.offsets[n:], contrib)
     # index points carry no extra-covariate shift in this placement
-    np.testing.assert_allclose(ev.points[0::2], data.X @ f.coeffs.beta, atol=0)
+    assert_design_first(spec, data, f, ev)
 
 
-def test_eval_set_weights_must_cancel():
+def test_eval_set_of_reflected_fits_opens_with_their_design():
+    # on this replicate three fits of the path come out in the reflected frame
+    X, y = gen_dataset(ScenarioConfig("pois-logistic", n=100, param=2.0, seed=0), 2)
+    data = Dataset(y=y, X=X)
+    path = fit_path(ModelSpec(family="poisson", p=X.shape[1]), data)
+    reflected = [f for f in path.fits if f.raw_coeffs.beta[0] < 0]
+    assert [round(f.lam, 1) for f in reflected] == [88.6, 206.9, 483.3]
+    for f in reflected:
+        assert_design_first(path.spec, data, f, make_eval_set(path.spec, data, f))
+
+
+def test_eval_set_needs_observations_and_a_twin():
     basis = make_spline_basis(0.0, 1.0, dim=8)
     pts = np.array([0.2, 0.4])
-    with pytest.raises(ValueError, match="sum to zero"):
-        EvalSet(
-            family="poisson",
-            points=pts,
-            weights=np.array([1.0, 1.0]),
-            offsets=np.zeros(2),
-            phi_plus=basis_matrix(basis, pts),
-        )
+    for n in (0, 2):
+        with pytest.raises(ValueError, match="twin"):
+            EvalSet(
+                family="poisson",
+                points=pts,
+                n=n,
+                offsets=np.zeros(2),
+                phi_plus=basis_matrix(basis, pts),
+            )
 
 
 # --- the estimator against loops ----------------------------------------------
@@ -299,9 +321,10 @@ def test_sensitivity_matches_fd(family, q):
     d = f.coeffs.d
 
     def value(dv):
-        return float(ev.weights @ link_values(ev, dv))
+        hv = link_values(ev, dv)
+        return float(np.mean(hv[: ev.n]) - np.mean(hv[ev.n :]))
 
-    grad = _functional(ev.family, ev.phi_plus, ev.weights, ev.offsets, d)[1]
+    grad = _functional(ev.family, ev.phi_plus, ev.n, ev.offsets, d)[1]
     eps = 1e-6
     fd = np.empty_like(d)
     for k in range(d.size):
