@@ -19,6 +19,7 @@ import numpy as np
 
 from .basis import FourierBasis, basis_matrix, fourier_design
 from .errors import NumericalError
+from .inference import effective_df
 from .jensen import (
     _check_test_options,
     alternative_null_test,
@@ -42,6 +43,9 @@ PLACEMENT_FLAGS = {"inside": "inside_index", "outside": "outside_index"}
 MISSING_TOKENS = {"", "na", "nan", "null"}
 # points on the fitted link curve in ghat.csv
 GHAT_POINTS = 200
+# a fit whose smoother trace is below this is nearly affine: the penalty's
+# null space, the affine g, has dimension 2
+AFFINE_TR_S = 2.2
 
 
 # --- ingestion ------------------------------------------------------------------
@@ -206,8 +210,20 @@ def _se_and_t(path, res) -> tuple[np.ndarray, np.ndarray]:
     return se, t_full
 
 
+def _affine_grid_warnings(tr_s) -> list[str]:
+    """A warning when more than half of the grid fits a nearly affine g."""
+    affine = sum(t < AFFINE_TR_S for t in tr_s)
+    if 2 * affine <= len(tr_s):
+        return []
+    return [
+        f"{affine} of {len(tr_s)} grid points have smoother trace tr S < {AFFINE_TR_S}, "
+        "within 0.2 of an affine fit's 2: most of the path tests a nearly affine link"
+    ]
+
+
 def _result_bundle(spec, path, res, meta) -> dict:
     se, t_full = _se_and_t(path, res)
+    tr_s = [effective_df(f)[0] for f in path.fits]
     basis = path.selected_fit.basis
     per_lambda = [
         {
@@ -216,6 +232,7 @@ def _result_bundle(spec, path, res, meta) -> dict:
             "se": float(se[k]),
             "t": _json_num(t_full[k]),
             "gcv": _json_num(path.gcv[k]),
+            "tr_s": tr_s[k],
             "converged": bool(path.fits[k].converged),
         }
         for k in range(len(path.grid))
@@ -246,7 +263,8 @@ def _result_bundle(spec, path, res, meta) -> dict:
         "p_value": res.p_value,
         "p_value_mc_se": math.sqrt(res.p_value * (1.0 - res.p_value) / res.n_null_sims),
         "decision": "REJECT" if res.reject else "FAIL_TO_REJECT",
-        "warnings": list(res.warnings) + list(path.warnings),
+        "warnings": list(res.warnings) + list(path.warnings)
+        + _affine_grid_warnings(tr_s),
     }
 
 

@@ -44,7 +44,6 @@ __all__ = [
     "make_eval_set",
     "delta_hat",
     "delta_cov",
-    "truncate_psd",
     "t_process",
     "null_critical_value",
     "jensen_test",
@@ -179,17 +178,6 @@ def delta_hat(fit: FitResult, ev: EvalSet) -> float:
     return _functional(ev.family, ev.phi_plus, ev.n, ev.offsets, fit.coeffs.d)[0]
 
 
-def truncate_psd(mat: np.ndarray) -> np.ndarray:
-    """Symmetrize and clip negative eigenvalues at zero."""
-    sym = 0.5 * (mat + mat.T)
-    w, V = np.linalg.eigh(sym)
-    if w.size and w[0] >= 0:
-        return sym
-    w = np.maximum(w, 0.0)
-    out = (V * w) @ V.T
-    return 0.5 * (out + out.T)
-
-
 def _terms(fit: FitResult, ev: EvalSet) -> tuple[float, np.ndarray]:
     """(delta_hat, its influence row Phi M^-1 c = d(delta_hat) / d(W z)) for
     one fit: the gradient c of delta_hat in the spline coefficients carried
@@ -214,10 +202,12 @@ def _path_terms(path: LambdaPath) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _row_cov(path: LambdaPath, rows: np.ndarray, what: str) -> np.ndarray:
-    """s G diag(w_ref) G', projected to the PSD cone, for influence rows G.
-    Scales `rows` in place by sqrt(s w_ref), so callers pass an array they own."""
+    """The Gram matrix s G diag(w_ref) G' of influence rows G, formed as
+    R R' with R = G diag(sqrt(s w_ref)): exactly symmetric, and PSD up to
+    rounding, which the null root clips. Scales `rows` in place into R, so
+    callers pass an array they own."""
     rows *= np.sqrt(_noise_scale(path) * path.weight_ref)[None, :]
-    sigma = truncate_psd(rows @ rows.T)
+    sigma = rows @ rows.T
     if np.all(np.diag(sigma) <= 0.0):
         raise DegenerateVarianceError(f"estimated variance of {what} is zero on the whole grid")
     return sigma
@@ -225,8 +215,8 @@ def _row_cov(path: LambdaPath, rows: np.ndarray, what: str) -> np.ndarray:
 
 def delta_cov(path: LambdaPath, evals: list[EvalSet]) -> np.ndarray:
     """Covariance of the delta_hat process across the lambda grid, by the
-    delta method: s G diag(w_ref) G' over the influence rows G (one per
-    grid value), projected to the PSD cone. s is the gaussian residual
+    delta method: the Gram matrix s G diag(w_ref) G' over the influence rows
+    G (one per grid value), PSD up to rounding. s is the gaussian residual
     variance (1 for poisson and logit) and w_ref the family weights at the
     GCV-selected lambda. Entry (i, j) equals c_i' coef_cov(path, i, j) c_j.
     """
@@ -263,9 +253,7 @@ def t_process(deltas: np.ndarray, sigma_delta: np.ndarray):
 def _symmetric_root(sigma: np.ndarray) -> np.ndarray:
     w, V = np.linalg.eigh(0.5 * (sigma + sigma.T))
     if w.size and w[0] < -1e-8 * max(1.0, abs(w[-1])):
-        raise NumericalError(
-            "correlation matrix is not positive semidefinite after projection"
-        )
+        raise NumericalError("correlation matrix is not positive semidefinite")
     w = np.maximum(w, 0.0)
     return (V * np.sqrt(w)) @ V.T
 

@@ -16,9 +16,11 @@ import pytest
 from scipy.special import expit
 
 import jenseneffect
-from jenseneffect.cli import main, read_dataset
+from jenseneffect.cli import FAMILY_FLAGS, main, read_dataset
 from jenseneffect.errors import NumericalError
-from jenseneffect.model import default_lambda_grid
+from jenseneffect.inference import effective_df
+from jenseneffect.model import ModelSpec, default_lambda_grid, fit_path
+from jenseneffect.simlab import ScenarioConfig, gen_dataset
 
 
 def _fmt_row(vals):
@@ -169,6 +171,36 @@ def test_jensen_reports_the_p_value_mc_se(tmp_path, capsys):
     p = bundle["p_value"]
     assert 0.0 < p < 1.0 and bundle["n_null_sims"] == 2000
     assert bundle["p_value_mc_se"] == math.sqrt(p * (1.0 - p) / 2000)
+
+
+def write_catalog_csv(path, name, n, param):
+    X, y = gen_dataset(ScenarioConfig(name, n=n, param=param, seed=0), 0)
+    lines = ["response," + ",".join(f"x_{j + 1}" for j in range(X.shape[1]))]
+    lines += [_fmt_row([y[i], *X[i]]) for i in range(n)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+AFFINE_NOTE = "grid points have smoother trace tr S < 2.2"
+
+
+@pytest.mark.parametrize(
+    "family, name, param, affine",
+    [("gaussian-log", "gauss-sqrt", 0.05, True), ("poisson", "pois-logistic", 8.0, False)],
+)
+def test_jensen_reports_the_smoother_trace_per_lambda(tmp_path, capsys, family, name, param, affine):
+    # tr S is the trace GCV divides by; an affine fit has tr S = 2. Most of the
+    # default grid is affine on low-noise gaussian data and none of it on
+    # poisson counts, and only the first run warns
+    data = tmp_path / "data.csv"
+    write_catalog_csv(data, name, 300, param)
+    out = tmp_path / "out"
+    assert main(["jensen", "--family", family, "--data", str(data), "--out", str(out)]) == 0
+    bundle = json.loads((out / "result.json").read_text(encoding="utf-8"))
+    spec = ModelSpec(family=FAMILY_FLAGS[family], p=5)
+    path = fit_path(spec, read_dataset(str(data))[0])
+    assert [row["tr_s"] for row in bundle["per_lambda"]] == [effective_df(f)[0] for f in path.fits]
+    notes = [w for w in bundle["warnings"] if AFFINE_NOTE in w]
+    assert len(notes) == (1 if affine else 0)
 
 
 def test_jensen_empty_file_exit2(tmp_path, capsys):

@@ -282,7 +282,7 @@ def test_delta_cov_matches_pairwise_coef_cov_oracle():
             [[sens[i] @ coef_cov(path, i, j) @ sens[j] for j in range(m)] for i in range(m)]
         )
         sigma = delta_cov(path, evals)
-        # the oracle is PSD up to rounding, so the projection only rounds
+        # the Gram matrix and the pairwise oracle differ by rounding only
         assert np.max(np.abs(sigma - oracle)) <= 1e-10 * np.abs(oracle).max()
 
 

@@ -18,10 +18,11 @@ from jenseneffect.basis import basis_matrix, greville_abscissae, make_spline_bas
 from jenseneffect.cli import DIRECTION_FLAGS
 from jenseneffect.errors import (
     DegenerateVarianceError,
+    NumericalError,
     SeparationError,
     TestInfeasibleError,
 )
-from jenseneffect.inference import LambdaPath, _design
+from jenseneffect.inference import LambdaPath, _design, _noise_scale
 from jenseneffect.jensen import (
     DIRECTIONS,
     EvalSet,
@@ -33,9 +34,9 @@ from jenseneffect.jensen import (
     make_eval_set,
     null_critical_value,
     t_process,
-    truncate_psd,
     _assemble_result,
     _functional,
+    _path_terms,
     _row_cov,
     _terms,
 )
@@ -340,21 +341,53 @@ def test_sensitivity_matches_fd(family, q):
 # --- covariance of the process --------------------------------------------------
 
 
-def test_truncate_psd_identity_on_psd():
-    rng = np.random.default_rng(2)
-    B = rng.normal(size=(6, 6))
-    mat = B @ B.T
-    out = truncate_psd(mat)
-    np.testing.assert_allclose(out, mat, atol=1e-10 * np.max(np.abs(mat)))
+def scaled_gram(path, rows):
+    """The delta-method Gram matrix R R', R the influence rows scaled by
+    sqrt(s w_ref), formed from a copy of `rows`."""
+    scaled = rows * np.sqrt(_noise_scale(path) * path.weight_ref)[None, :]
+    return scaled @ scaled.T
 
 
-def test_truncate_psd_projects_indefinite():
-    mat = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
-    out = truncate_psd(mat)
-    w = np.linalg.eigvalsh(out)
-    assert w.min() >= -1e-12
-    assert np.all(np.diag(out) >= 0.0)
-    np.testing.assert_allclose(out, out.T, atol=0)
+def test_jensen_test_reports_the_gram_matrix_itself():
+    # near-affine grid points make the influence rows nearly rank-deficient,
+    # so the smallest eigenvalue is a round-off negative; sigma_delta is
+    # still the Gram matrix bit for bit, and exactly symmetric
+    X, y = gen_dataset(ScenarioConfig("gauss-sqrt", n=2000, param=0.05, seed=0), 0)
+    path = fit_path(ModelSpec(family="gaussian_log", p=X.shape[1]), Dataset(y=y, X=X))
+    sigma = jensen_test(path).sigma_delta
+    np.testing.assert_array_equal(sigma, sigma.T)
+    np.testing.assert_array_equal(sigma, scaled_gram(path, _path_terms(path)[1]))
+
+
+def test_alternative_null_test_reports_the_gram_matrix_itself():
+    X, y = gen_dataset(ScenarioConfig("logit-convex", n=500, param=8.0, seed=0), 0)
+    data = Dataset(y=y, X=X)
+    path = fit_path(ModelSpec(family="bernoulli_logit", p=X.shape[1]), data)
+    ref = linear_logistic_reference(data)
+    sigma = alternative_null_test(path, ref).sigma_delta
+    np.testing.assert_array_equal(sigma, sigma.T)
+    rows = _path_terms(path)[1] - ref.influence_row
+    np.testing.assert_array_equal(sigma, scaled_gram(path, rows))
+
+
+def test_null_critical_value_clips_a_round_off_negative_eigenvalue():
+    # the null root is the one PSD safeguard. The rank-one correlation of
+    # t = (z, z, z, -z, -z, -z) has a computed smallest eigenvalue of -6.8e-17
+    # of the largest, and its min statistic is -|z|. 20000 draws put the
+    # critical value's Monte Carlo SD near 0.013
+    s = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
+    sigma_t = np.outer(s, s)
+    w = np.linalg.eigvalsh(sigma_t)
+    assert -1e-15 * w[-1] < w[0] < 0.0
+    crit, _ = null_critical_value(sigma_t, 0.05, "test_negative", n_sims=20000, seed=4)
+    assert abs(crit - norm.ppf(0.025)) <= 0.06
+
+
+def test_null_critical_value_rejects_an_indefinite_correlation():
+    # eigenvalues 3 and -1; then 2 + 1e-6 and -1e-6, a correlation past 1
+    for sigma_t in ([[1.0, 2.0], [2.0, 1.0]], [[1.0, 1.0 + 1e-6], [1.0 + 1e-6, 1.0]]):
+        with pytest.raises(NumericalError, match="not positive semidefinite"):
+            null_critical_value(np.array(sigma_t), 0.05, "test_negative")
 
 
 @pytest.fixture(scope="module")
@@ -850,30 +883,63 @@ def test_alternative_null_test_equals_the_result_from_all_eval_sets(linear_logit
     )
 
 
-def test_jensen_test_memory_does_not_grow_with_the_grid():
-    # One fit's evaluation set is alive at a time, so only the m x n influence
-    # rows grow with the grid m. Few null draws keep the n_sims x m draw
-    # matrix, which grows with the grid by design, out of the peak. The bound
-    # is on the growth per added grid point, in units of one float64 n-vector
-    # (one influence row is 1.0), so a leaner per-fit loop cannot fail it.
+GRID_SIZES = (20, 60, 100)
+
+
+@pytest.fixture(scope="module")
+def grid_memory():
+    """{m: (peak of the per-fit loop, peak of the covariance step)} in bytes
+    on one gaussian dataset, n = 500, for grids of m points. The steps are
+    measured apart, with the peak reset between them, so each bound below
+    sees its own step's peak. The covariance step runs from the influence
+    rows through 100 null draws; few draws keep the n_sims x m draw matrix
+    out of its peak."""
     rng = np.random.default_rng(101)
     n, p = 500, 5
     X = rng.uniform(0.0, 0.5, size=(n, p))
     y = np.sqrt(X @ (np.ones(p) / np.sqrt(p)) + 0.05) * np.exp(0.01 * rng.standard_normal(n))
     data = Dataset(y=y, X=X)
-    peaks = []
-    for count in (20, 60):
-        spec = ModelSpec(family="gaussian_log", p=p, lambda_grid=default_lambda_grid(count=count))
+    peaks = {}
+    for m in GRID_SIZES:
+        spec = ModelSpec(family="gaussian_log", p=p, lambda_grid=default_lambda_grid(count=m))
         path = fit_path(spec, data)
-        jensen_test(path, n_sims=100)  # fill the basis and penalty caches first
+        _path_terms(path)  # fill the basis and penalty caches first
         tracemalloc.start()
         try:
-            jensen_test(path, n_sims=100)
-            peaks.append(tracemalloc.get_traced_memory()[1])
+            deltas, rows = _path_terms(path)
+            loop = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            sigma = _row_cov(path, rows, "delta_hat")
+            _assemble_result(deltas, sigma, "test_negative", 0.05, 100, 0)
+            peaks[m] = (loop, tracemalloc.get_traced_memory()[1] - held)
         finally:
             tracemalloc.stop()
-    per_point = (peaks[1] - peaks[0]) / (60 - 20)
-    assert per_point <= 1.45 * 8 * n
+    return n, peaks
+
+
+def test_jensen_test_memory_does_not_grow_with_the_grid(grid_memory):
+    # One fit's evaluation set is alive at a time, so only the m x n influence
+    # rows grow with the grid m. The bound is on the growth per added grid
+    # point, in units of one float64 n-vector (one influence row is 1.0), so
+    # a leaner per-fit loop cannot fail it.
+    n, peaks = grid_memory
+    for lo, hi in zip(GRID_SIZES, GRID_SIZES[1:]):
+        per_point = (peaks[hi][0] - peaks[lo][0]) / (hi - lo)
+        assert per_point <= 1.45 * 8 * n
+
+
+def test_jensen_test_covariance_memory_grows_by_a_few_m_by_m_matrices(grid_memory):
+    # The covariance step holds m x m matrices: the Gram matrix, the
+    # correlation and the null root's one eigendecomposition. The bound is on
+    # the growth per added m^2 entry from m = 20, in float64 units: measured
+    # 4.5 at m = 60 and 4.4 at m = 100, and a second m x m eigendecomposition
+    # (a PSD projection of the Gram matrix) reads 5.4 at m = 100.
+    _, peaks = grid_memory
+    lo = GRID_SIZES[0]
+    for m in GRID_SIZES[1:]:
+        per_entry = (peaks[m][1] - peaks[lo][1]) / (m * m - lo * lo)
+        assert per_entry <= 5.0 * 8
 
 
 def test_every_direction_name_is_a_test_direction():
