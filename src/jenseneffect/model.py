@@ -22,7 +22,6 @@ from typing import Callable
 
 import numpy as np
 import scipy.linalg
-from scipy.optimize import minimize
 from scipy.special import expit
 
 from .basis import (
@@ -33,6 +32,7 @@ from .basis import (
     penalty,
     penalty_eigh,
 )
+from .bfgs import minimize
 from .errors import DegenerateIndexError, NumericalOverflowError
 
 __all__ = [
@@ -432,9 +432,10 @@ class _Evaluator:
         H[np.arange(K), np.arange(K)] += 2.0 * self.lam * self.Lam
         H = 0.5 * (H + H.T)
         # invert with an eigenvalue floor: the sphere-tangent direction is
-        # flat, and scipy insists the seed be exactly symmetric and
-        # Cholesky-factorizable. Huge link coefficients overflow H, and eigh
-        # raises ValueError on non-finite input, so check before calling it.
+        # flat, and `bfgs.minimize`, like scipy's BFGS, insists the seed be
+        # exactly symmetric and Cholesky-factorizable. Huge link coefficients
+        # overflow H, and eigh raises ValueError on non-finite input, so
+        # check before calling it.
         if not np.all(np.isfinite(H)):
             return np.eye(H.shape[0])
         try:
@@ -594,12 +595,13 @@ def _canonicalize(spec: ModelSpec, coeffs: Coefficients, index_values: np.ndarra
 
 
 def fit(spec: ModelSpec, data: Dataset, lam: float, init: Coefficients | None = None) -> FitResult:
-    """Minimize the penalized objective at one lambda by BFGS, run twice with
-    the second run warm-started from the first (plus one more restart if the
-    convergence test still fails). A run that cannot move, because its start
-    already meets BFGS's gradient tolerance, is not started; it would return
-    its start. `n_restarts_used` counts the attempts after the first, started
-    or not.
+    """Minimize the penalized objective at one lambda by BFGS (`bfgs.minimize`,
+    the package's port of scipy's, called as `model.minimize`), run twice
+    with the second run warm-started from the first (plus one more restart
+    if the convergence test still fails). A run that cannot move, because
+    its start already meets BFGS's gradient tolerance, is not started; it
+    would return its start. `n_restarts_used` counts the attempts after the
+    first, started or not.
 
     Without `init` the fit starts from the best linear model, in spec.basis
     or, when that is None, in a basis built around the starting index. An
@@ -635,19 +637,15 @@ def fit(spec: ModelSpec, data: Dataset, lam: float, init: Coefficients | None = 
         # BFGS takes no step while the inf-norm of the gradient is not above
         # gtol, and returns its start; so start no run there
         if np.max(np.abs(grad)) > gtol:
-            res = minimize(
+            zeta, value = minimize(
                 ev.value_and_grad_eig,
                 best_zeta,
-                jac=True,
-                method="BFGS",
-                options={
-                    "gtol": gtol,
-                    "maxiter": 400,
-                    "hess_inv0": ev.gauss_newton_hess_inv(best_zeta),
-                },
+                gtol=gtol,
+                maxiter=400,
+                hess_inv0=ev.gauss_newton_hess_inv(best_zeta),
             )
-            if np.isfinite(res.fun) and res.fun <= best_value:
-                best_zeta, best_value = res.x, float(res.fun)
+            if np.isfinite(value) and value <= best_value:
+                best_zeta, best_value = zeta, float(value)
                 _, grad = ev.value_and_grad_eig(best_zeta)
         grad_ok = np.linalg.norm(grad) < GRAD_TOL * (1.0 + abs(best_value))
         obj_ok = abs(prev_value - best_value) < OBJ_REL_TOL * (1.0 + abs(best_value))

@@ -5,7 +5,7 @@ import importlib
 
 import pytest
 
-MODULES = ("jenseneffect", "basis", "model", "inference", "jensen", "simlab")
+MODULES = ("jenseneffect", "basis", "bfgs", "model", "inference", "jensen", "simlab")
 
 
 @pytest.mark.parametrize("name", MODULES)

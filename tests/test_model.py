@@ -315,7 +315,7 @@ def test_evaluator_returns_a_fresh_gradient_for_a_repeated_point(rng, basis_call
     zeta = ev.to_eig(np.concatenate([coeffs.d, coeffs.beta, coeffs.gamma]))
     value, grad = ev.value_and_grad_eig(zeta)
     expected = grad.copy()
-    grad += 1.0  # scipy may update a returned gradient in place
+    grad += 1.0  # a caller may update a returned gradient in place
     again, grad_again = ev.value_and_grad_eig(zeta.copy())
     assert again == value
     np.testing.assert_array_equal(grad_again, expected)
